@@ -74,9 +74,7 @@ def _load_graph(path: str) -> OrientedGraph:
 
 
 def _budget(args) -> hom.SearchBudget:
-    return hom.SearchBudget(
-        max_nodes=args.budget_nodes, max_seconds=args.budget_secs, seed=args.seed
-    )
+    return hom.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
 
 
 def _emit_json(payload: dict, args) -> None:
@@ -87,13 +85,11 @@ def _emit_json(payload: dict, args) -> None:
     print(text)
 
 
-def _witness_json(witness: hom.PushHomWitness, target: OrientedGraph) -> dict:
-    return {
-        "pushVector": sorted(witness.push_vector),
-        "mapping": list(witness.mapping),
-        "target": emit_graph(target),
-        "verified": True,
-    }
+def _witness(hit) -> hom.PushHomWitness:
+    """A push witness as is; a plain mapping as one with an empty push vector."""
+    if isinstance(hit, hom.PushHomWitness):
+        return hit
+    return hom.PushHomWitness(frozenset(), hit)
 
 
 def cmd_gen(args) -> int:
@@ -155,24 +151,21 @@ def cmd_split(args) -> int:
 def cmd_hom(args) -> int:
     g = _load_graph(args.graph)
     h = _load_graph(args.other)
-    budget = _budget(args)
     if args.push:
-        res = hom.find_push_hom(g, h, budget)
-        payload: dict = {"kind": "push", "status": res.status, "nodes": res.nodes}
-        if res.witness is not None:
-            payload["witness"] = _witness_json(res.witness, h)
+        res = hom.find_push_hom(g, h, _budget(args))
+        hit = res.witness
     else:
-        plain = hom.find_hom(g, h, budget)
-        payload = {"kind": "oriented", "status": plain.status, "nodes": plain.nodes}
-        if plain.mapping is not None:
-            payload["witness"] = {
-                "pushVector": [],
-                "mapping": list(plain.mapping),
-                "target": emit_graph(h),
-                "verified": True,
-            }
+        res = hom.find_hom(g, h, _budget(args))
+        hit = res.mapping
+    payload: dict = {
+        "kind": "push" if args.push else "oriented",
+        "status": res.status,
+        "nodes": res.nodes,
+    }
+    if hit is not None:
+        payload["witness"] = _witness(hit).to_json(h)
     _emit_json(payload, args)
-    return EXIT_BUDGET if payload["status"] == "budget-exhausted" else EXIT_OK
+    return EXIT_BUDGET if res.status == "budget-exhausted" else EXIT_OK
 
 
 def cmd_push(args) -> int:
@@ -198,15 +191,7 @@ def cmd_chroma(args) -> int:
     if res.value is not None:
         payload["value"] = res.value
         payload["target"] = emit_graph(res.target)
-        if isinstance(res.witness, hom.PushHomWitness):
-            payload["witness"] = _witness_json(res.witness, res.target)
-        else:
-            payload["witness"] = {
-                "pushVector": [],
-                "mapping": list(res.witness),
-                "target": emit_graph(res.target),
-                "verified": True,
-            }
+        payload["witness"] = _witness(res.witness).to_json(res.target)
     else:
         payload["lowerBound"] = res.lower_bound
         payload["value"] = None
@@ -247,7 +232,7 @@ def cmd_color(args) -> int:
         return EXIT_FAIL
     payload = {
         "status": "found",
-        "witness": _witness_json(cert.witness, cert.target),
+        "witness": cert.witness.to_json(cert.target),
         "reductions": len(cert.trace),
     }
     _emit_json(payload, args)
@@ -284,8 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True):
-        p.add_argument("--seed", type=int, default=0, help="deterministic seed")
+    def common(p, budget=True, seed=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="deterministic seed")
         p.add_argument("--json", help="also write the JSON report to this path")
         if budget:
             p.add_argument("--budget-nodes", type=int, default=10_000_000)
@@ -296,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--output")
     p.add_argument("--report", action="store_true", help="emit the property-validation report as JSON")
-    common(p, budget=False)
+    common(p, budget=False, seed=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("equiv", help="decide push equivalence of two graphs")
@@ -342,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--claim3", action="store_true", help="include the slow 9-vertex tournament search")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -19,7 +19,7 @@ from itertools import product
 
 from .density import mad_less_than
 from .families import c3, paley_plus, parse_pattern, oriented_path
-from .graph import GraphError, OrientedGraph, emit_graph
+from .graph import GraphError, OrientedGraph, _bits, emit_graph
 from .hom import PushHomWitness, SearchBudget, find_push_hom
 from .isomorphism import is_homomorphism
 from .push import push
@@ -63,20 +63,11 @@ def two_step_neighborhoods(h: OrientedGraph, v: int) -> TwoStepNeighborhoods:
         in_in |= h.in_masks[c]
         in_out |= h.out_masks[c]
     return TwoStepNeighborhoods(
-        frozenset(_mask_bits(out_out)),
-        frozenset(_mask_bits(in_in)),
-        frozenset(_mask_bits(out_in)),
-        frozenset(_mask_bits(in_out)),
+        frozenset(_bits(out_out)),
+        frozenset(_bits(in_in)),
+        frozenset(_bits(out_in)),
+        frozenset(_bits(in_out)),
     )
-
-
-def _mask_bits(mask: int):
-    v = 0
-    while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
 
 
 # -- path extension into the directed triangle ------------------------------
@@ -329,7 +320,7 @@ def build_extension_tables() -> ExtensionTables:
     digest = hashlib.sha256(
         (repr(sorted(chain.items())) + repr(sorted(branch.items())) + repr(path_ok)).encode()
     ).hexdigest()
-    if _EXPECTED_TABLES_SHA256 is not None and digest != _EXPECTED_TABLES_SHA256:
+    if digest != _EXPECTED_TABLES_SHA256:
         raise CounterexampleFound(
             "extension tables changed: digest "
             f"{digest} does not match the pinned {_EXPECTED_TABLES_SHA256}"

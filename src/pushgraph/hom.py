@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .graph import GraphError, OrientedGraph
+from .graph import GraphError, OrientedGraph, emit_graph
 from .isomorphism import canonical_code, is_homomorphism
 from .push import anti_twinned, push
 
@@ -27,11 +27,10 @@ _BUDGET = -1
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for one logical search; the seed only matters to randomized callers."""
+    """Limits for one logical search."""
 
     max_nodes: int = 10_000_000
     max_seconds: float = 60.0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.max_nodes <= 0 or self.max_seconds <= 0:
@@ -61,24 +60,32 @@ class _Tracker:
         return time.monotonic() - self.start
 
 
+class _SearchStatus:
+    """The three outcomes of a search: a verified hit, a proven absence, or a
+    budget-truncated search.  Subclasses name the field holding the hit."""
+
+    _hit: str
+
+    @property
+    def status(self) -> str:
+        if getattr(self, self._hit) is not None:
+            return "found"
+        return "none" if self.complete else "budget-exhausted"
+
+
 @dataclass(frozen=True)
-class HomSearchResult:
+class HomSearchResult(_SearchStatus):
     """Outcome of a homomorphism search.
 
     complete distinguishes a proven absence (search space exhausted) from a
     budget-truncated search; a mapping is always verified before release.
     """
 
+    _hit = "mapping"
     mapping: tuple[int, ...] | None
     complete: bool
     nodes: int
     seconds: float
-
-    @property
-    def status(self) -> str:
-        if self.mapping is not None:
-            return "found"
-        return "none" if self.complete else "budget-exhausted"
 
 
 @dataclass(frozen=True)
@@ -88,19 +95,23 @@ class PushHomWitness:
     push_vector: frozenset[int]
     mapping: tuple[int, ...]
 
+    def to_json(self, target: OrientedGraph) -> dict:
+        """The witness block of the CLI reports, mapping into target."""
+        return {
+            "pushVector": sorted(self.push_vector),
+            "mapping": list(self.mapping),
+            "target": emit_graph(target),
+            "verified": True,
+        }
+
 
 @dataclass(frozen=True)
-class PushHomResult:
+class PushHomResult(_SearchStatus):
+    _hit = "witness"
     witness: PushHomWitness | None
     complete: bool
     nodes: int
     seconds: float
-
-    @property
-    def status(self) -> str:
-        if self.witness is not None:
-            return "found"
-        return "none" if self.complete else "budget-exhausted"
 
 
 def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):

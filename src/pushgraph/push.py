@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import FormatError, GraphError, OrientedGraph
+from .graph import FormatError, GraphError, OrientedGraph, _bits
 from .isomorphism import (
     IsoCertificate,
     canonical_code,
@@ -241,17 +241,8 @@ def agree_disagree(g: OrientedGraph, x: int, y: int) -> AgreeDisagreeStats:
     agree = (ox & oy) | (ix & iy)
     disagree = (ox & iy) | (ix & oy)
     return AgreeDisagreeStats(
-        frozenset(_mask_bits(agree)), frozenset(_mask_bits(disagree))
+        frozenset(_bits(agree)), frozenset(_bits(disagree))
     )
-
-
-def _mask_bits(mask: int):
-    v = 0
-    while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
 
 
 def in_common_uc4(g: OrientedGraph, x: int, y: int) -> bool:

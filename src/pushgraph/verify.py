@@ -7,8 +7,10 @@ back both the CLI `verify` command and the acceptance test module.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -30,19 +32,6 @@ from .push import (
 )
 
 SCHEMA_VERSION = 1
-
-SUITES = (
-    "theorem-antitwin",
-    "prop-transfer",
-    "lemma-split",
-    "outerplanar5",
-    "zielonka",
-    "gadgets-p3",
-    "girth8-lower",
-    "girth8-upper",
-    "sandwich",
-    "tournament3",
-)
 
 
 @dataclass
@@ -95,27 +84,32 @@ class VerdictReport:
             },
         }
 
+    @contextmanager
+    def check(self, check_id: str):
+        """Time the block and record the verdict it passes to the yielded
+        callable; a block that raises InconclusiveSearch is recorded as
+        exhausted-budget instead, and the checks after it still run."""
+        outcome: dict = {}
 
-class _Suite:
-    def __init__(self, name: str):
-        self.report = VerdictReport(name)
+        def verdict(ok: bool, detail: str, **extra) -> None:
+            outcome.update(status="pass" if ok else "fail", detail=detail, **extra)
 
-    def record(self, check_id: str, started: float, ok: bool, detail: str, **extra):
-        self.report.checks.append(
-            CheckRecord(
-                check_id,
-                "pass" if ok else "fail",
-                detail,
-                time.perf_counter() - started,
-                extra.get("witness"),
-                extra.get("counterexample"),
-            )
+        started = time.perf_counter()
+        try:
+            yield verdict
+        except coloring.InconclusiveSearch as exc:
+            outcome = {"status": "exhausted-budget", "detail": str(exc)}
+        self.checks.append(
+            CheckRecord(check_id, wall_time=time.perf_counter() - started, **outcome)
         )
 
-    def budget_exhausted(self, check_id: str, started: float, detail: str):
-        self.report.checks.append(
-            CheckRecord(check_id, "exhausted-budget", detail, time.perf_counter() - started)
-        )
+
+def _complete(result):
+    """Pass a finished search result through; a budget-truncated one ends the
+    enclosing check as exhausted-budget."""
+    if not result.complete:
+        raise coloring.InconclusiveSearch(f"search truncated after {result.nodes} nodes")
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -153,155 +147,142 @@ def _all_classes(max_n: int) -> list[OrientedGraph]:
 def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
     """Push equivalence <=> isomorphic anti-twinned graphs <=> some push vector
     maps one graph onto the other, over all oriented graphs up to max_n."""
-    suite = _Suite("theorem-antitwin")
+    suite = VerdictReport("theorem-antitwin")
     graphs = _all_classes(max_n)
 
-    started = time.perf_counter()
-    orbit_key = [tuple(push_orbit(g)) for g in graphs]
-    anti_key = [canonical_code(anti_twinned(g)) for g in graphs]
-    by_orbit: dict = {}
-    by_anti: dict = {}
-    for idx, g in enumerate(graphs):
-        by_orbit.setdefault(orbit_key[idx], []).append(idx)
-        by_anti.setdefault(anti_key[idx], []).append(idx)
-    partition_orbit = {frozenset(v) for v in by_orbit.values()}
-    partition_anti = {frozenset(v) for v in by_anti.values()}
-    ok = partition_orbit == partition_anti
-    counterexample = None
-    if not ok:
-        diff = partition_orbit.symmetric_difference(partition_anti)
-        sample = sorted(next(iter(diff)))[:2]
-        counterexample = {"graphs": [emit_graph(graphs[i]) for i in sample]}
-    suite.record(
-        "antitwin/partitions",
-        started,
-        ok,
-        f"{len(graphs)} graphs (n <= {max_n}); push-orbit classes = "
-        f"{len(partition_orbit)}, anti-twin-code classes = {len(partition_anti)}",
-        counterexample=counterexample,
-    )
+    with suite.check("antitwin/partitions") as verdict:
+        orbit_key = [tuple(push_orbit(g)) for g in graphs]
+        anti_key = [canonical_code(anti_twinned(g)) for g in graphs]
+        by_orbit: dict = {}
+        by_anti: dict = {}
+        for idx, g in enumerate(graphs):
+            by_orbit.setdefault(orbit_key[idx], []).append(idx)
+            by_anti.setdefault(anti_key[idx], []).append(idx)
+        partition_orbit = {frozenset(v) for v in by_orbit.values()}
+        partition_anti = {frozenset(v) for v in by_anti.values()}
+        ok = partition_orbit == partition_anti
+        counterexample = None
+        if not ok:
+            diff = partition_orbit.symmetric_difference(partition_anti)
+            sample = sorted(next(iter(diff)))[:2]
+            counterexample = {"graphs": [emit_graph(graphs[i]) for i in sample]}
+        verdict(
+            ok,
+            f"{len(graphs)} graphs (n <= {max_n}); push-orbit classes = "
+            f"{len(partition_orbit)}, anti-twin-code classes = {len(partition_anti)}",
+            counterexample=counterexample,
+        )
 
-    started = time.perf_counter()
-    positives = failures = 0
-    bad = None
-    for members in by_orbit.values():
-        rep = graphs[members[0]]
-        for idx in members:
-            cert = push_equivalent(rep, graphs[idx])
-            positives += 1
-            if cert is None:
+    with suite.check("antitwin/certificates") as verdict:
+        positives = failures = 0
+        bad = None
+        for members in by_orbit.values():
+            rep = graphs[members[0]]
+            for idx in members:
+                cert = push_equivalent(rep, graphs[idx])
+                positives += 1
+                if cert is None:
+                    failures += 1
+                    bad = bad or {"graphs": [emit_graph(rep), emit_graph(graphs[idx])]}
+        verdict(
+            failures == 0,
+            f"{positives} same-class pairs produced verified push/mapping certificates",
+            counterexample=bad,
+        )
+
+    with suite.check("antitwin/cross-class") as verdict:
+        reps = [members[0] for members in by_orbit.values()]
+        negatives = failures = 0
+        bad = None
+        for i, j in combinations(range(len(reps)), 2):
+            negatives += 1
+            if push_equivalent(graphs[reps[i]], graphs[reps[j]]) is not None:
                 failures += 1
-                bad = bad or {"graphs": [emit_graph(rep), emit_graph(graphs[idx])]}
-    suite.record(
-        "antitwin/certificates",
-        started,
-        failures == 0,
-        f"{positives} same-class pairs produced verified push/mapping certificates",
-        counterexample=bad,
-    )
-
-    started = time.perf_counter()
-    reps = [members[0] for members in by_orbit.values()]
-    negatives = failures = 0
-    bad = None
-    for i, j in combinations(range(len(reps)), 2):
-        negatives += 1
-        if push_equivalent(graphs[reps[i]], graphs[reps[j]]) is not None:
-            failures += 1
-            bad = bad or {
-                "graphs": [emit_graph(graphs[reps[i]]), emit_graph(graphs[reps[j]])]
-            }
-    suite.record(
-        "antitwin/cross-class",
-        started,
-        failures == 0,
-        f"{negatives} cross-class representative pairs correctly refused",
-        counterexample=bad,
-    )
-    return suite.report
+                bad = bad or {
+                    "graphs": [emit_graph(graphs[reps[i]]), emit_graph(graphs[reps[j]])]
+                }
+        verdict(
+            failures == 0,
+            f"{negatives} cross-class representative pairs correctly refused",
+            counterexample=bad,
+        )
+    return suite
 
 
 # -- lemma-split --------------------------------------------------------------
 
 
-def suite_lemma_split(max_src: int = 5, max_tgt: int = 3) -> VerdictReport:
+def suite_lemma_split(
+    max_n: int = 5, max_tgt: int = 3, budget: hom.SearchBudget | None = None
+) -> VerdictReport:
     """Hom into the anti-twinned target <=> brute force over all presentations."""
-    suite = _Suite("lemma-split")
-    started = time.perf_counter()
-    sources = _all_classes(max_src)
-    targets = _all_classes(max_tgt)
-    total = mismatches = 0
-    bad = None
-    for g in sources:
-        for h in targets:
-            total += 1
-            reduced = hom.find_push_hom(g, h)
-            brute = hom.brute_force_push_hom(g, h)
-            if not (reduced.complete and brute.complete):
-                suite.budget_exhausted(
-                    "split/reduction-vs-brute", started, "budget exhausted mid-sweep"
-                )
-                return suite.report
-            if (reduced.witness is None) != (brute.witness is None):
-                mismatches += 1
-                bad = bad or {"graphs": [emit_graph(g), emit_graph(h)]}
-    suite.record(
-        "split/reduction-vs-brute",
-        started,
-        mismatches == 0,
-        f"{total} (source, target) pairs agree (sources n <= {max_src}, targets n <= {max_tgt})",
-        counterexample=bad,
-    )
-    return suite.report
+    suite = VerdictReport("lemma-split")
+    with suite.check("split/reduction-vs-brute") as verdict:
+        sources = _all_classes(max_n)
+        targets = _all_classes(max_tgt)
+        total = mismatches = 0
+        bad = None
+        for g in sources:
+            for h in targets:
+                total += 1
+                reduced = _complete(hom.find_push_hom(g, h, budget))
+                brute = _complete(hom.brute_force_push_hom(g, h, budget))
+                if (reduced.witness is None) != (brute.witness is None):
+                    mismatches += 1
+                    bad = bad or {"graphs": [emit_graph(g), emit_graph(h)]}
+        verdict(
+            mismatches == 0,
+            f"{total} (source, target) pairs agree (sources n <= {max_n}, targets n <= {max_tgt})",
+            counterexample=bad,
+        )
+    return suite
 
 
 # -- prop-transfer ------------------------------------------------------------
 
 
-def suite_prop_transfer(count: int = 1000, seed: int = 0, max_src: int = 12) -> VerdictReport:
+def suite_prop_transfer(count: int = 1000, seed: int = 0, max_n: int = 12) -> VerdictReport:
     """Random verified homomorphisms survive pushing any target set."""
-    suite = _Suite("prop-transfer")
-    started = time.perf_counter()
-    rng = random.Random(seed)
-    failures = 0
-    bad = None
-    for _ in range(count):
-        hn = rng.randint(1, 5)
-        h_arcs = []
-        for u, v in combinations(range(hn), 2):
-            roll = rng.random()
-            if roll < 1 / 3:
-                h_arcs.append((u, v))
-            elif roll < 2 / 3:
-                h_arcs.append((v, u))
-        h = OrientedGraph(hn, tuple(h_arcs))
-        gn = rng.randint(1, max_src)
-        image = tuple(rng.randrange(hn) for _ in range(gn))
-        g_arcs = [
-            (u, v)
-            for u in range(gn)
-            for v in range(gn)
-            if u != v and h.has_arc(image[u], image[v]) and rng.random() < 0.5
-        ]
-        g = OrientedGraph(gn, tuple(g_arcs))
-        push_h = [w for w in range(hn) if rng.random() < 0.5]
-        try:
-            hom.transfer(g, h, image, push_h)
-        except AssertionError:
-            failures += 1
-            bad = bad or {
-                "graphs": [emit_graph(g), emit_graph(h)],
-                "mapping": list(image),
-                "targetPush": push_h,
-            }
-    suite.record(
-        "transfer/random",
-        started,
-        failures == 0,
-        f"{count} random homomorphisms transferred and re-verified (seed {seed})",
-        counterexample=bad,
-    )
-    return suite.report
+    suite = VerdictReport("prop-transfer")
+    with suite.check("transfer/random") as verdict:
+        rng = random.Random(seed)
+        failures = 0
+        bad = None
+        for _ in range(count):
+            hn = rng.randint(1, 5)
+            h_arcs = []
+            for u, v in combinations(range(hn), 2):
+                roll = rng.random()
+                if roll < 1 / 3:
+                    h_arcs.append((u, v))
+                elif roll < 2 / 3:
+                    h_arcs.append((v, u))
+            h = OrientedGraph(hn, tuple(h_arcs))
+            gn = rng.randint(1, max_n)
+            image = tuple(rng.randrange(hn) for _ in range(gn))
+            g_arcs = [
+                (u, v)
+                for u in range(gn)
+                for v in range(gn)
+                if u != v and h.has_arc(image[u], image[v]) and rng.random() < 0.5
+            ]
+            g = OrientedGraph(gn, tuple(g_arcs))
+            push_h = [w for w in range(hn) if rng.random() < 0.5]
+            try:
+                hom.transfer(g, h, image, push_h)
+            except AssertionError:
+                failures += 1
+                bad = bad or {
+                    "graphs": [emit_graph(g), emit_graph(h)],
+                    "mapping": list(image),
+                    "targetPush": push_h,
+                }
+        verdict(
+            failures == 0,
+            f"{count} random homomorphisms transferred and re-verified (seed {seed})",
+            counterexample=bad,
+        )
+    return suite
 
 
 # -- outerplanar5 -------------------------------------------------------------
@@ -324,213 +305,174 @@ def _path_oracle(bits: tuple[bool, ...], a: int, b: int) -> bool:
 
 
 def suite_outerplanar5(
-    instances: int = 100,
+    count: int = 100,
     max_n: int = 60,
     seed: int = 0,
     budget: hom.SearchBudget | None = None,
 ) -> VerdictReport:
-    suite = _Suite("outerplanar5")
+    suite = VerdictReport("outerplanar5")
 
-    started = time.perf_counter()
-    mismatches = checked = 0
-    bad = None
-    for m in range(1, 7):
-        for bits_mask in range(1 << m):
-            bits = tuple(bool(bits_mask >> i & 1) for i in range(m))
-            for a in range(3):
-                for b in range(3):
-                    checked += 1
-                    fast = coloring.path_extend_to_c3(bits, a, b) is not None
-                    slow = _path_oracle(bits, a, b)
-                    if fast != slow:
-                        mismatches += 1
-                        bad = bad or {"pattern": ["+" if x else "-" for x in bits], "a": a, "b": b}
-    suite.record(
-        "outerplanar5/path-lemma-oracle",
-        started,
-        mismatches == 0,
-        f"{checked} (pattern, endpoints) cases up to length 6 agree with enumeration",
-        counterexample=bad,
-    )
-
-    started = time.perf_counter()
-    stated_bad = coloring.path_extend_to_c3("+++-", 0, 0) is None
-    stated_good = all(
-        coloring.path_extend_to_c3(tuple(bool(mask >> i & 1) for i in range(4)), a, b)
-        is not None
-        for mask in range(16)
-        for a in range(3)
-        for b in range(3)
-        if a != b
-    )
-    suite.record(
-        "outerplanar5/path-lemma-values",
-        started,
-        stated_bad and stated_good,
-        "'+++-' with equal endpoints infeasible; every length-4 pattern with "
-        "distinct endpoints feasible",
-    )
-
-    started = time.perf_counter()
-    rng = random.Random(seed)
-    colored = failures = 0
-    bad = None
-    try:
-        for i in range(instances):
-            n = rng.randint(5, max_n)
-            g = families.random_outerplanar(n, 5, seed=seed * 7919 + i)
-            coloring.color_outerplanar_g5(g, budget)
-            colored += 1
-    except coloring.CounterexampleFound as exc:
-        failures += 1
-        bad = {"graph": exc.graph_text, "detail": exc.detail}
-    except coloring.InconclusiveSearch:
-        suite.budget_exhausted(
-            "outerplanar5/instances", started, f"budget exhausted after {colored} instances"
+    with suite.check("outerplanar5/path-lemma-oracle") as verdict:
+        mismatches = checked = 0
+        bad = None
+        for m in range(1, 7):
+            for bits_mask in range(1 << m):
+                bits = tuple(bool(bits_mask >> i & 1) for i in range(m))
+                for a in range(3):
+                    for b in range(3):
+                        checked += 1
+                        fast = coloring.path_extend_to_c3(bits, a, b) is not None
+                        slow = _path_oracle(bits, a, b)
+                        if fast != slow:
+                            mismatches += 1
+                            bad = bad or {"pattern": ["+" if x else "-" for x in bits], "a": a, "b": b}
+        verdict(
+            mismatches == 0,
+            f"{checked} (pattern, endpoints) cases up to length 6 agree with enumeration",
+            counterexample=bad,
         )
-        return suite.report
-    suite.record(
-        "outerplanar5/instances",
-        started,
-        failures == 0,
-        f"{colored} random outerplanar girth-5 instances (n <= {max_n}) received "
-        "verified triangle colorings",
-        counterexample=bad,
-    )
 
-    started = time.perf_counter()
-    res = hom.push_chromatic_number(families.directed_cycle(5), max_k=2, budget=budget)
-    ok = res.value is None and res.complete and res.lower_bound == 3
-    suite.record(
-        "outerplanar5/odd-cycle-floor",
-        started,
-        ok,
-        "the directed 5-cycle refuses every target on at most 2 vertices",
-    )
-    return suite.report
+    with suite.check("outerplanar5/path-lemma-values") as verdict:
+        stated_bad = coloring.path_extend_to_c3("+++-", 0, 0) is None
+        stated_good = all(
+            coloring.path_extend_to_c3(tuple(bool(mask >> i & 1) for i in range(4)), a, b)
+            is not None
+            for mask in range(16)
+            for a in range(3)
+            for b in range(3)
+            if a != b
+        )
+        verdict(
+            stated_bad and stated_good,
+            "'+++-' with equal endpoints infeasible; every length-4 pattern with "
+            "distinct endpoints feasible",
+        )
+
+    with suite.check("outerplanar5/instances") as verdict:
+        rng = random.Random(seed)
+        colored = failures = 0
+        bad = None
+        try:
+            for i in range(count):
+                n = rng.randint(5, max_n)
+                g = families.random_outerplanar(n, 5, seed=seed * 7919 + i)
+                coloring.color_outerplanar_g5(g, budget)
+                colored += 1
+        except coloring.CounterexampleFound as exc:
+            failures += 1
+            bad = {"graph": exc.graph_text, "detail": exc.detail}
+        verdict(
+            failures == 0,
+            f"{colored} random outerplanar girth-5 instances (n <= {max_n}) received "
+            "verified triangle colorings",
+            counterexample=bad,
+        )
+
+    with suite.check("outerplanar5/odd-cycle-floor") as verdict:
+        res = _complete(
+            hom.push_chromatic_number(families.directed_cycle(5), max_k=2, budget=budget)
+        )
+        verdict(
+            res.value is None and res.lower_bound == 3,
+            "the directed 5-cycle refuses every target on at most 2 vertices",
+        )
+    return suite
 
 
 # -- zielonka -----------------------------------------------------------------
 
 
 def suite_zielonka() -> VerdictReport:
-    suite = _Suite("zielonka")
+    suite = VerdictReport("zielonka")
     for k in range(2, 6):
-        started = time.perf_counter()
-        full = families.zielonka(k)
-        half = families.zielonka_half(k)
-        ok = full.n == k * 2 ** (k - 1) and half.n == k * 2 ** (k - 2)
-        suite.record(
-            f"zielonka/orders-k{k}",
-            started,
-            ok,
-            f"|V| = {full.n} (want {k * 2 ** (k - 1)}), half = {half.n} "
-            f"(want {k * 2 ** (k - 2)})",
-        )
+        with suite.check(f"zielonka/orders-k{k}") as verdict:
+            full = families.zielonka(k)
+            half = families.zielonka_half(k)
+            verdict(
+                full.n == k * 2 ** (k - 1) and half.n == k * 2 ** (k - 2),
+                f"|V| = {full.n} (want {k * 2 ** (k - 1)}), half = {half.n} "
+                f"(want {k * 2 ** (k - 2)})",
+            )
     for k in range(2, 5):
-        started = time.perf_counter()
-        full = families.zielonka(k)
-        cert = is_splitable(full)
-        ok = cert is not None
-        detail = "generic split search found a certificate"
-        if ok:
-            split = split_graph(full, cert)
-            iso = is_isomorphic(anti_twinned(split), full)
-            ok = iso is not None and split.n == full.n // 2
-            detail += "; anti-twinning the split graph reproduces the original (isomorphism search)"
-        suite.record(f"zielonka/split-k{k}", started, ok, detail)
-        started = time.perf_counter()
-        half = families.zielonka_half(k)
-        iso = is_isomorphic(anti_twinned(half), full)
-        suite.record(
-            f"zielonka/half-rebuild-k{k}",
-            started,
-            iso is not None,
-            "independent isomorphism search confirms the transversal half",
+        with suite.check(f"zielonka/split-k{k}") as verdict:
+            full = families.zielonka(k)
+            cert = is_splitable(full)
+            ok = cert is not None
+            detail = "generic split search found a certificate"
+            if ok:
+                split = split_graph(full, cert)
+                iso = is_isomorphic(anti_twinned(split), full)
+                ok = iso is not None and split.n == full.n // 2
+                detail += "; anti-twinning the split graph reproduces the original (isomorphism search)"
+            verdict(ok, detail)
+        with suite.check(f"zielonka/half-rebuild-k{k}") as verdict:
+            half = families.zielonka_half(k)
+            iso = is_isomorphic(anti_twinned(half), full)
+            verdict(
+                iso is not None,
+                "independent isomorphism search confirms the transversal half",
+            )
+    with suite.check("zielonka/weight-split-report") as verdict:
+        reports = [families.zielonka_weight_split_report(k) for k in range(2, 6)]
+        verdict(
+            True,
+            "informational: weight-threshold split status per k: "
+            + "; ".join(
+                f"k={r['k']}: equal_halves={r['equal_halves']}" for r in reports
+            ),
+            witness=reports,
         )
-    started = time.perf_counter()
-    reports = [families.zielonka_weight_split_report(k) for k in range(2, 6)]
-    suite.record(
-        "zielonka/weight-split-report",
-        started,
-        True,
-        "informational: weight-threshold split status per k: "
-        + "; ".join(
-            f"k={r['k']}: equal_halves={r['equal_halves']}" for r in reports
-        ),
-        witness=reports,
-    )
-    return suite.report
+    return suite
 
 
 # -- gadgets-p3 ---------------------------------------------------------------
 
 
 def suite_gadgets_p3(claim3: bool = False, budget: hom.SearchBudget | None = None) -> VerdictReport:
-    suite = _Suite("gadgets-p3")
+    suite = VerdictReport("gadgets-p3")
 
-    started = time.perf_counter()
-    orbit = push_orbit(families.uc4())
-    suite.record(
-        "gadgets/uc4-push-invariant",
-        started,
-        len(orbit) == 1,
-        f"push orbit of the one-reversed-arc 4-cycle has {len(orbit)} isomorphism class(es)",
-    )
+    with suite.check("gadgets/uc4-push-invariant") as verdict:
+        orbit = push_orbit(families.uc4())
+        verdict(
+            len(orbit) == 1,
+            f"push orbit of the one-reversed-arc 4-cycle has {len(orbit)} isomorphism class(es)",
+        )
 
-    started = time.perf_counter()
-    try:
+    with suite.check("gadgets/apex-triangle-identities") as verdict:
         target = families.paley_plus()
         everything = frozenset(range(4))
-        ok = all(
-            (
-                coloring.two_step_neighborhoods(target, v).out_out
-                | coloring.two_step_neighborhoods(target, v).in_in
-            )
-            == everything - {v}
-            and (
-                coloring.two_step_neighborhoods(target, v).out_in
-                | coloring.two_step_neighborhoods(target, v).in_out
-            )
-            == everything
-            for v in range(4)
+        steps = [coloring.two_step_neighborhoods(target, v) for v in range(4)]
+        verdict(
+            all(
+                s.out_out | s.in_in == everything - {v} and s.out_in | s.in_out == everything
+                for v, s in enumerate(steps)
+            ),
+            "both two-step covering identities hold exactly for all 4 vertices",
         )
-        detail = "both two-step covering identities hold exactly for all 4 vertices"
-    except Exception as exc:  # construction validates; a raise is a failure
-        ok, detail = False, str(exc)
-    suite.record("gadgets/apex-triangle-identities", started, ok, detail)
 
-    started = time.perf_counter()
-    try:
+    with suite.check("gadgets/order8-rigid") as verdict:
         gadget = families.b0()
+        # merged images are impossible, so 7 vertices cannot host it
         pairs_ok = all(
             cannot_identify(gadget, x, y) for x, y in combinations(range(8), 2)
         )
-        identity = hom.PushHomWitness(frozenset(), tuple(range(8)))
-        self_color = is_homomorphism(gadget, gadget, identity.mapping)
-        no_smaller = pairs_ok  # merged images are impossible, so 7 vertices cannot host it
-        ok = pairs_ok and self_color and no_smaller
-        detail = (
+        self_color = is_homomorphism(gadget, gadget, tuple(range(8)))
+        verdict(
+            pairs_ok and self_color,
             "all 28 vertex pairs are non-identifiable and the identity colors the "
-            "gadget with 8 colors, so its push chromatic number is exactly 8"
+            "gadget with 8 colors, so its push chromatic number is exactly 8",
         )
-    except Exception as exc:
-        ok, detail = False, str(exc)
-    suite.record("gadgets/order8-rigid", started, ok, detail)
 
-    started = time.perf_counter()
-    report = families.b0_pair_report()
-    hits = [row["pair"] for row in report if row["meets_bound"]]
-    suite.record(
-        "gadgets/order8-dominating-pair",
-        started,
-        len(hits) >= 1,
-        f"pairs with the dominating vertex meeting agree/disagree >= 3: {hits}",
-        witness=report,
-    )
+    with suite.check("gadgets/order8-dominating-pair") as verdict:
+        report = families.b0_pair_report()
+        hits = [row["pair"] for row in report if row["meets_bound"]]
+        verdict(
+            len(hits) >= 1,
+            f"pairs with the dominating vertex meeting agree/disagree >= 3: {hits}",
+            witness=report,
+        )
 
-    started = time.perf_counter()
-    try:
+    with suite.check("gadgets/forced-pair-overlap") as verdict:
         y = families.y_gadget()
         stats_x = agree_disagree(y, 0, 1)
         stats_y = agree_disagree(y, 0, 2)
@@ -542,54 +484,43 @@ def suite_gadgets_p3(claim3: bool = False, budget: hom.SearchBudget | None = Non
         refused = 0
         for k in range(1, 6):
             for t in hom.enumerate_tournaments(k):
-                res = hom.find_push_hom(y, t, budget)
-                if not res.complete:
-                    raise coloring.InconclusiveSearch("gadget target sweep")
-                if res.witness is not None:
+                if _complete(hom.find_push_hom(y, t, budget)).witness is None:
+                    refused += 1
+                else:
                     ok = False
                     detail = f"unexpected push-homomorphism into a {k}-vertex tournament"
-                else:
-                    refused += 1
-        detail += f"; all {refused} tournaments on <= 5 vertices refused (forced >= 4 common neighbors)"
-    except coloring.InconclusiveSearch:
-        suite.budget_exhausted("gadgets/forced-pair-overlap", started, "budget exhausted")
-        return suite.report
-    except Exception as exc:
-        ok, detail = False, str(exc)
-    suite.record("gadgets/forced-pair-overlap", started, ok, detail)
+        verdict(
+            ok,
+            detail
+            + f"; all {refused} tournaments on <= 5 vertices refused (forced >= 4 common neighbors)",
+        )
 
-    started = time.perf_counter()
-    agreeing = 0
-    for k in range(0, 4):
-        for t in hom.enumerate_tournaments(k):
-            a = hom.find_push_hom(families.y_gadget(), t).witness is not None
-            b = hom.brute_force_push_hom(families.y_gadget(), t).witness is not None
-            if a == b:
-                agreeing += 1
-            else:
-                agreeing = -(10 ** 9)
-    suite.record(
-        "gadgets/reduction-vs-brute-on-gadget",
-        started,
-        agreeing >= 0,
-        "anti-twin reduction and presentation enumeration agree on all small targets",
-    )
+    with suite.check("gadgets/reduction-vs-brute-on-gadget") as verdict:
+        y = families.y_gadget()
+        mismatches = 0
+        for k in range(0, 4):
+            for t in hom.enumerate_tournaments(k):
+                reduced = _complete(hom.find_push_hom(y, t, budget))
+                brute = _complete(hom.brute_force_push_hom(y, t, budget))
+                mismatches += (reduced.witness is None) != (brute.witness is None)
+        verdict(
+            mismatches == 0,
+            "anti-twin reduction and presentation enumeration agree on all small targets",
+        )
 
     if claim3:
-        started = time.perf_counter()
-        relaxed = nine_tournament_constraint_search(enforce_pairs=False)
-        outcome = nine_tournament_constraint_search()
-        suite.record(
-            "gadgets/nine-tournament-search",
-            started,
-            outcome["survivors"] == 0 and relaxed["survivors"] > 0,
-            f"{relaxed['survivors']} degree-feasible residual tournaments exist, "
-            f"0 required; with the pair constraint: {outcome['explored']} partial "
-            f"assignments explored, {outcome['pair_pruned']} pair-pruned, "
-            f"{outcome['survivors']} survivors",
-            witness={"relaxed": relaxed, "constrained": outcome},
-        )
-    return suite.report
+        with suite.check("gadgets/nine-tournament-search") as verdict:
+            relaxed = nine_tournament_constraint_search(enforce_pairs=False)
+            outcome = nine_tournament_constraint_search()
+            verdict(
+                outcome["survivors"] == 0 and relaxed["survivors"] > 0,
+                f"{relaxed['survivors']} degree-feasible residual tournaments exist, "
+                f"0 required; with the pair constraint: {outcome['explored']} partial "
+                f"assignments explored, {outcome['pair_pruned']} pair-pruned, "
+                f"{outcome['survivors']} survivors",
+                witness={"relaxed": relaxed, "constrained": outcome},
+            )
+    return suite
 
 
 def nine_tournament_constraint_search(enforce_pairs: bool = True) -> dict:
@@ -666,117 +597,105 @@ def nine_tournament_constraint_search(enforce_pairs: bool = True) -> dict:
     return stats
 
 
+
+
 # -- girth8 -------------------------------------------------------------------
 
 
 def suite_girth8_lower(budget: hom.SearchBudget | None = None) -> VerdictReport:
-    suite = _Suite("girth8-lower")
+    suite = VerdictReport("girth8-lower")
     witness = families.girth8_witness()
 
-    started = time.perf_counter()
-    girth = underlying_girth(witness)
-    suite.record(
-        "girth8/witness-shape",
-        started,
-        girth == 8 and witness.n == 64 and len(witness.arcs) == 81,
-        f"witness has {witness.n} vertices, {len(witness.arcs)} arcs, girth {girth}",
-    )
-
-    started = time.perf_counter()
-    res = hom.find_push_hom(witness, families.c3(), budget)
-    if res.status == "budget-exhausted":
-        suite.budget_exhausted(
-            "girth8/no-triangle-coloring",
-            started,
-            f"search truncated after {res.nodes} nodes",
+    with suite.check("girth8/witness-shape") as verdict:
+        girth = underlying_girth(witness)
+        verdict(
+            girth == 8 and witness.n == 64 and len(witness.arcs) == 81,
+            f"witness has {witness.n} vertices, {len(witness.arcs)} arcs, girth {girth}",
         )
-    else:
-        suite.record(
-            "girth8/no-triangle-coloring",
-            started,
+
+    with suite.check("girth8/no-triangle-coloring") as verdict:
+        res = _complete(hom.find_push_hom(witness, families.c3(), budget))
+        verdict(
             res.status == "none",
             f"push-homomorphism search into the directed triangle: {res.status} "
             f"after {res.nodes} nodes (proven absence required)",
         )
 
-    started = time.perf_counter()
-    nine = hom.push_chromatic_number(families.directed_cycle(9), max_k=3, budget=budget)
-    suite.record(
-        "girth8/nine-cycle-value",
-        started,
-        nine.value == 3 and nine.complete,
-        f"push chromatic number of the directed 9-cycle = {nine.value}",
-    )
-    return suite.report
+    with suite.check("girth8/nine-cycle-value") as verdict:
+        nine = _complete(
+            hom.push_chromatic_number(families.directed_cycle(9), max_k=3, budget=budget)
+        )
+        verdict(
+            nine.value == 3,
+            f"push chromatic number of the directed 9-cycle = {nine.value}",
+        )
+    return suite
 
 
 def suite_girth8_upper(
-    instances: int = 100,
+    count: int = 100,
     max_n: int = 500,
     seed: int = 0,
 ) -> VerdictReport:
-    suite = _Suite("girth8-upper")
+    # declares no budget: nothing it calls accepts one
+    suite = VerdictReport("girth8-upper")
 
-    started = time.perf_counter()
-    try:
-        tables = coloring.build_extension_tables()
-        ok = (
-            len(tables.chain) == 128
-            and len(tables.branch) == 2048
-            and tables.c3_length4_distinct_ends_complete
+    with suite.check("girth8/extension-tables") as verdict:
+        try:
+            tables = coloring.build_extension_tables()
+            ok = (
+                len(tables.chain) == 128
+                and len(tables.branch) == 2048
+                and tables.c3_length4_distinct_ends_complete
+            )
+            detail = (
+                f"chain table {len(tables.chain)}/128 keys, branch table "
+                f"{len(tables.branch)}/2048 keys (all 64 colorings solvable under every "
+                f"arc pattern), triangle path table complete; sha256 {tables.sha256[:16]}..."
+            )
+        except coloring.CounterexampleFound as exc:
+            ok, detail = False, exc.detail
+        verdict(ok, detail)
+
+    with suite.check("girth8/sparse-instances") as verdict:
+        colored = 0
+        bad = None
+        try:
+            for i in range(count):
+                n = 20 + (max_n - 20) * i // max(count - 1, 1)
+                g = families.random_sparse(n, seed=seed * 104729 + i)
+                coloring.push_color_to_paley(g)
+                colored += 1
+        except coloring.CounterexampleFound as exc:
+            bad = {"graph": exc.graph_text, "detail": exc.detail}
+        verdict(
+            bad is None,
+            f"{colored}/{count} random sparse instances (mad < 8/3 verified, n up to "
+            f"{max_n}) received end-to-end verified colorings",
+            counterexample=bad,
         )
-        detail = (
-            f"chain table {len(tables.chain)}/128 keys, branch table "
-            f"{len(tables.branch)}/2048 keys (all 64 colorings solvable under every "
-            f"arc pattern), triangle path table complete; sha256 {tables.sha256[:16]}..."
+
+    with suite.check("girth8/discharge-contrapositive") as verdict:
+        examined = failures = 0
+        bad = None
+        rng = random.Random(seed + 1)
+        corpus = _config_free_corpus(rng)
+        for g in corpus:
+            if coloring.find_reducible_config(g) is not None:
+                continue
+            examined += 1
+            audit = coloring.discharge_audit(g)
+            mad = max_average_degree(g)
+            if not audit.meets_eight_thirds or mad < Fraction(8, 3):
+                failures += 1
+                bad = bad or {"graph": emit_graph(g)}
+        verdict(
+            failures == 0 and examined >= 10,
+            f"{examined} configuration-free graphs all have min modified degree >= 8/3 "
+            "and mad >= 8/3",
+            counterexample=bad,
         )
-    except coloring.CounterexampleFound as exc:
-        ok, detail = False, exc.detail
-    suite.record("girth8/extension-tables", started, ok, detail)
-
-    started = time.perf_counter()
-    colored = 0
-    bad = None
-    try:
-        for i in range(instances):
-            n = 20 + (max_n - 20) * i // max(instances - 1, 1)
-            g = families.random_sparse(n, seed=seed * 104729 + i)
-            coloring.push_color_to_paley(g)
-            colored += 1
-    except coloring.CounterexampleFound as exc:
-        bad = {"graph": exc.graph_text, "detail": exc.detail}
-    suite.record(
-        "girth8/sparse-instances",
-        started,
-        bad is None,
-        f"{colored}/{instances} random sparse instances (mad < 8/3 verified, n up to "
-        f"{max_n}) received end-to-end verified colorings",
-        counterexample=bad,
-    )
-
-    started = time.perf_counter()
-    examined = failures = 0
-    bad = None
-    rng = random.Random(seed + 1)
-    corpus = _config_free_corpus(rng)
-    for g in corpus:
-        if coloring.find_reducible_config(g) is not None:
-            continue
-        examined += 1
-        audit = coloring.discharge_audit(g)
-        mad = max_average_degree(g)
-        if not audit.meets_eight_thirds or mad < Fraction(8, 3):
-            failures += 1
-            bad = bad or {"graph": emit_graph(g)}
-    suite.record(
-        "girth8/discharge-contrapositive",
-        started,
-        failures == 0 and examined >= 10,
-        f"{examined} configuration-free graphs all have min modified degree >= 8/3 "
-        "and mad >= 8/3",
-        counterexample=bad,
-    )
-    return suite.report
+    return suite
 
 
 def _config_free_corpus(rng: random.Random) -> list[OrientedGraph]:
@@ -806,95 +725,81 @@ def _config_free_corpus(rng: random.Random) -> list[OrientedGraph]:
 # -- sandwich and tournament3 --------------------------------------------------
 
 
-def suite_sandwich(max_n: int = 5) -> VerdictReport:
+def suite_sandwich(max_n: int = 5, budget: hom.SearchBudget | None = None) -> VerdictReport:
     """Push chromatic <= oriented chromatic <= twice push chromatic, exhaustively."""
-    suite = _Suite("sandwich")
-    started = time.perf_counter()
-    graphs = _all_classes(max_n)
-    checked = failures = 0
-    bad = None
-    for g in graphs:
-        if g.n == 0:
-            continue
-        pushy = hom.push_chromatic_number(g, max_k=min(g.n, 7))
-        ordinary = hom.oriented_chromatic_number(g, max_k=min(g.n, 7))
-        checked += 1
-        ok = (
-            pushy.value is not None
-            and ordinary.value is not None
-            and pushy.value <= ordinary.value <= 2 * pushy.value
+    suite = VerdictReport("sandwich")
+    with suite.check("sandwich/exhaustive") as verdict:
+        graphs = _all_classes(max_n)
+        checked = failures = 0
+        bad = None
+        for g in graphs:
+            if g.n == 0:
+                continue
+            pushy = _complete(hom.push_chromatic_number(g, max_k=min(g.n, 7), budget=budget))
+            ordinary = _complete(
+                hom.oriented_chromatic_number(g, max_k=min(g.n, 7), budget=budget)
+            )
+            checked += 1
+            ok = (
+                pushy.value is not None
+                and ordinary.value is not None
+                and pushy.value <= ordinary.value <= 2 * pushy.value
+            )
+            if not ok:
+                failures += 1
+                bad = bad or {
+                    "graph": emit_graph(g),
+                    "push": pushy.value,
+                    "oriented": ordinary.value,
+                }
+        verdict(
+            failures == 0,
+            f"{checked} oriented graphs with n <= {max_n} satisfy the sandwich bounds",
+            counterexample=bad,
         )
-        if not ok:
-            failures += 1
-            bad = bad or {
-                "graph": emit_graph(g),
-                "push": pushy.value,
-                "oriented": ordinary.value,
-            }
-    suite.record(
-        "sandwich/exhaustive",
-        started,
-        failures == 0,
-        f"{checked} oriented graphs with n <= {max_n} satisfy the sandwich bounds",
-        counterexample=bad,
-    )
-    return suite.report
+    return suite
 
 
 def suite_tournament3() -> VerdictReport:
-    suite = _Suite("tournament3")
-    started = time.perf_counter()
-    reps = hom.enumerate_tournaments(3)
-    orbits = {tuple(push_orbit(t)) for t in reps}
-    cert = push_equivalent(reps[0], reps[1]) if len(reps) == 2 else None
-    suite.record(
-        "tournament3/single-class",
-        started,
-        len(reps) == 2 and len(orbits) == 1 and cert is not None,
-        f"{len(reps)} isomorphism classes collapse into {len(orbits)} push class; "
-        "certificate verified",
-    )
-    return suite.report
+    suite = VerdictReport("tournament3")
+    with suite.check("tournament3/single-class") as verdict:
+        reps = hom.enumerate_tournaments(3)
+        orbits = {tuple(push_orbit(t)) for t in reps}
+        cert = push_equivalent(reps[0], reps[1]) if len(reps) == 2 else None
+        verdict(
+            len(reps) == 2 and len(orbits) == 1 and cert is not None,
+            f"{len(reps)} isomorphism classes collapse into {len(orbits)} push class; "
+            "certificate verified",
+        )
+    return suite
 
 
 # -- dispatch -----------------------------------------------------------------
 
 
+SUITES = {
+    "theorem-antitwin": suite_theorem_antitwin,
+    "prop-transfer": suite_prop_transfer,
+    "lemma-split": suite_lemma_split,
+    "outerplanar5": suite_outerplanar5,
+    "zielonka": suite_zielonka,
+    "gadgets-p3": suite_gadgets_p3,
+    "girth8-lower": suite_girth8_lower,
+    "girth8-upper": suite_girth8_upper,
+    "sandwich": suite_sandwich,
+    "tournament3": suite_tournament3,
+}
+
+
 def run_suite(name: str, **options) -> VerdictReport:
-    """Run one named suite; unknown names raise ValueError."""
-    if name == "theorem-antitwin":
-        return suite_theorem_antitwin(max_n=options.get("max_n") or 5)
-    if name == "prop-transfer":
-        return suite_prop_transfer(
-            count=options.get("count") or 1000, seed=options.get("seed") or 0
-        )
-    if name == "lemma-split":
-        return suite_lemma_split(
-            max_src=options.get("max_n") or 5, max_tgt=options.get("max_tgt") or 3
-        )
-    if name == "outerplanar5":
-        return suite_outerplanar5(
-            instances=options.get("count") or 100,
-            max_n=options.get("max_n") or 60,
-            seed=options.get("seed") or 0,
-            budget=options.get("budget"),
-        )
-    if name == "zielonka":
-        return suite_zielonka()
-    if name == "gadgets-p3":
-        return suite_gadgets_p3(
-            claim3=bool(options.get("claim3")), budget=options.get("budget")
-        )
-    if name == "girth8-lower":
-        return suite_girth8_lower(budget=options.get("budget"))
-    if name == "girth8-upper":
-        return suite_girth8_upper(
-            instances=options.get("count") or 100,
-            max_n=options.get("max_n") or 500,
-            seed=options.get("seed") or 0,
-        )
-    if name == "sandwich":
-        return suite_sandwich(max_n=options.get("max_n") or 5)
-    if name == "tournament3":
-        return suite_tournament3()
-    raise ValueError(f"unknown suite {name!r}; known suites: {', '.join(SUITES)}")
+    """Run one named suite; unknown names raise ValueError.
+
+    Each suite declares its options and their defaults in its signature; it
+    receives only the options it declares, and an option given as None keeps
+    its default (0 means 0).
+    """
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; known suites: {', '.join(SUITES)}")
+    suite = SUITES[name]
+    declared = inspect.signature(suite).parameters
+    return suite(**{k: v for k, v in options.items() if v is not None and k in declared})

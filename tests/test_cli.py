@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pushgraph.cli import main
 from pushgraph.graph import emit_graph, parse_graph
 from pushgraph.families import directed_cycle, uc4
@@ -160,6 +162,25 @@ def test_verify_suite_exit_and_json(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["summary"]["allPass"] is True
     assert "tournament3/single-class" in err
+
+
+@pytest.mark.parametrize(
+    "suite_args",
+    [
+        ["girth8-lower"],
+        ["gadgets-p3"],
+        ["sandwich", "--max-n", "3"],
+        ["lemma-split", "--max-n", "3"],
+        ["outerplanar5", "--count", "1", "--max-n", "10"],
+    ],
+    ids=lambda suite_args: suite_args[0],
+)
+def test_verify_budget_exhaustion_exits_3(capsys, suite_args):
+    code, out, _ = run_cli(capsys, "verify", *suite_args, "--budget-nodes", "1")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["summary"]["exhaustedBudget"] >= 1
+    assert payload["summary"]["fail"] == 0
 
 
 def test_verify_unknown_suite(capsys):

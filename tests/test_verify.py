@@ -60,6 +60,8 @@ def test_small_lemma_suite_passes():
 def test_small_transfer_suite_passes():
     report = run_suite("prop-transfer", count=150, seed=5)
     assert report.all_pass
+    (empty,) = run_suite("prop-transfer", count=0).checks
+    assert empty.detail.startswith("0 random homomorphisms")
 
 
 def test_small_outerplanar_suite_passes():
@@ -70,6 +72,9 @@ def test_small_outerplanar_suite_passes():
 def test_small_girth8_upper_suite_passes():
     report = run_suite("girth8-upper", count=12, max_n=120, seed=3)
     assert report.all_pass
+    empty = run_suite("girth8-upper", count=0, max_n=60)
+    details = {c.id: c.detail for c in empty.checks}
+    assert details["girth8/sparse-instances"].startswith("0/0 random sparse instances")
 
 
 def test_small_sandwich_suite_passes():
