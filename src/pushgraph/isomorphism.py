@@ -1,8 +1,9 @@
 """Digraph isomorphism and canonical codes for desk-scale oriented graphs.
 
 Both routines run degree-pair color refinement first and backtrack only
-inside refined color classes, which keeps exhaustive-quality answers fast at
-the sizes this package works with.
+inside refined color classes, and never try more than one order of
+structural twins (vertices with equal out- and in-neighbourhoods), which
+keeps exhaustive-quality answers fast at the sizes this package works with.
 """
 
 from __future__ import annotations
@@ -68,12 +69,32 @@ def refine_colors(g: OrientedGraph) -> tuple[int, ...]:
         colors = new_colors
 
 
+def _previous_twins(g: OrientedGraph) -> list[int]:
+    """For each vertex, the largest smaller vertex with the same (out, in)
+    neighbourhood, or -1.
+
+    Such twins are never adjacent, and swapping two of them is an
+    automorphism that fixes every other vertex.
+    """
+    last: dict[tuple[int, int], int] = {}
+    prev = [-1] * g.n
+    for v, profile in enumerate(zip(g.out_masks, g.in_masks)):
+        prev[v] = last.get(profile, -1)
+        last[profile] = v
+    return prev
+
+
 def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
     """Search for an arc-preserving bijection g -> h.
 
     Prunes with refined color classes, then backtracks over color-compatible
     images, checking exact adjacency (both senses) against mapped neighbors.
-    The returned certificate is re-verified.
+    An image w of h is tried only once its previous twin in h (same out- and
+    in-neighbourhood) is used: the swap of two unused twins fixes the partial
+    map, so their subtrees succeed or fail together, and the first
+    certificate found is the one the unpruned search would find.  The search
+    keeps its own stack, so its depth is not bounded by Python's recursion
+    limit.  The returned certificate is re-verified.
     """
     if g.n != h.n or len(g.arcs) != len(h.arcs):
         return None
@@ -91,53 +112,71 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
 
     g_out, g_in = g.out_masks, g.in_masks
     h_out, h_in = h.out_masks, h.in_masks
+    g_nbrs = [list(_bits(g_out[v] | g_in[v])) for v in range(n)]
+    h_twin = _previous_twins(h)
+
+    # pick order: most already-mapped neighbors first; ties by color class
+    # size, then id.  score[v] = n * (mapped neighbors of v) + n - 1 - rank[v]
+    # for unmapped v, where rank orders (class size, id); a mapped vertex
+    # carries -mapped_offset on top, so the maximum score is the next pick
+    by_rank = sorted(range(n), key=lambda v: (len(h_by_color[gcol[v]]), v))
+    score = [0] * n
+    for rank, v in enumerate(by_rank):
+        score[v] = n - 1 - rank
+    mapped_offset = n * n + n
 
     mapping = [-1] * n
-    used = [False] * n
-    assigned: list[int] = []
+    used_mask = 0
 
-    def pick_next() -> int:
-        # most already-mapped neighbors first; ties by color class size, then id
-        best_v, best_key = -1, None
-        for v in range(n):
-            if mapping[v] != -1:
-                continue
-            mapped_nbrs = sum(
-                1 for w in assigned if g_out[v] >> w & 1 or g_in[v] >> w & 1
-            )
-            key = (-mapped_nbrs, len(h_by_color[gcol[v]]), v)
-            if best_key is None or key < best_key:
-                best_v, best_key = v, key
-        return best_v
+    def open_node() -> tuple[int, list[int]]:
+        # the images w of v consistent with the partial map: the mapped in-
+        # and out-neighbors of v must be exactly the used ones of w
+        v = score.index(max(score))
+        img_in = img_out = 0
+        for u in _bits(g_in[v]):
+            if mapping[u] != -1:
+                img_in |= 1 << mapping[u]
+        for u in _bits(g_out[v]):
+            if mapping[u] != -1:
+                img_out |= 1 << mapping[u]
+        cands = [
+            w
+            for w in h_by_color[gcol[v]]
+            if not used_mask >> w & 1
+            and (h_twin[w] == -1 or used_mask >> h_twin[w] & 1)
+            and h_in[w] & used_mask == img_in
+            and h_out[w] & used_mask == img_out
+        ]
+        return v, cands
 
-    def consistent(v: int, w: int) -> bool:
-        for u in assigned:
-            x = mapping[u]
-            if (g_out[u] >> v & 1) != (h_out[x] >> w & 1):
-                return False
-            if (g_in[u] >> v & 1) != (h_in[x] >> w & 1):
-                return False
-        return True
-
-    def extend() -> bool:
-        if len(assigned) == n:
-            return True
-        v = pick_next()
-        for w in h_by_color[gcol[v]]:
-            if used[w] or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used[w] = True
-            assigned.append(v)
-            if extend():
-                return True
-            assigned.pop()
-            used[w] = False
+    # one [vertex, candidates, next index] frame per assigned or open vertex
+    stack = [[*open_node(), 0]]
+    while True:
+        frame = stack[-1]
+        v, cands, i = frame
+        w = mapping[v]
+        if w != -1:  # undo the candidate tried last at this node
             mapping[v] = -1
-        return False
+            used_mask ^= 1 << w
+            score[v] += mapped_offset
+            for u in g_nbrs[v]:
+                score[u] -= n
+        if i == len(cands):
+            stack.pop()
+            if not stack:
+                return None
+            continue
+        w = cands[i]
+        frame[2] = i + 1
+        mapping[v] = w
+        used_mask |= 1 << w
+        score[v] -= mapped_offset
+        for u in g_nbrs[v]:
+            score[u] += n
+        if len(stack) == n:
+            break
+        stack.append([*open_node(), 0])
 
-    if not extend():
-        return None
     cert = IsoCertificate(tuple(mapping))
     if not is_isomorphism(g, h, cert.mapping):
         raise AssertionError("isomorphism search produced an invalid certificate")
@@ -150,7 +189,11 @@ def canonical_code(g: OrientedGraph, limit: int = CANONICAL_SIZE_LIMIT) -> bytes
     Minimizes the layered adjacency-bit string over every vertex order that
     lists refined colors in nondecreasing order.  Branch and bound with exact
     prefix pruning: a branch is cut only when its prefix already exceeds the
-    best complete string, so the reported minimum is exhaustive.
+    best complete string, so the reported minimum is exhaustive.  A vertex is
+    placed only after its previous twin (same out- and in-neighbourhood):
+    swapping two twins is an automorphism that fixes every other vertex, so
+    every order has a twin-sorted order with the same string, and the
+    minimum is unchanged.
     """
     n = g.n
     if n > limit:
@@ -159,6 +202,7 @@ def canonical_code(g: OrientedGraph, limit: int = CANONICAL_SIZE_LIMIT) -> bytes
         return b"0|"
     colors = refine_colors(g)
     out, inn = g.out_masks, g.in_masks
+    twin = _previous_twins(g)
 
     order: list[int] = []
     layers: list[int] = []
@@ -182,7 +226,9 @@ def canonical_code(g: OrientedGraph, limit: int = CANONICAL_SIZE_LIMIT) -> bytes
         remaining = [v for v in range(n) if not taken[v]]
         min_color = min(colors[v] for v in remaining)
         cands = sorted(
-            (layer_of(v), v) for v in remaining if colors[v] == min_color
+            (layer_of(v), v)
+            for v in remaining
+            if colors[v] == min_color and (twin[v] == -1 or taken[twin[v]])
         )
         for layer, v in cands:
             # layers[:k] <= best[:k] always holds here; prune only on a tie

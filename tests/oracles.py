@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive (permutations, subset enumeration,
 full mapping enumeration) and shares no code with the implementation paths
-it validates.
+it validates.  `time_limit` guards tests whose regression would be a hang.
 """
 
 from __future__ import annotations
 
 import random
+import signal
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -114,3 +116,19 @@ def all_push_homs(g: OrientedGraph, h: OrientedGraph):
             if all(h.has_arc(image[u], image[v]) for u, v in presented.arcs):
                 found.append((vector, image))
     return found
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+
+    def ring(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,10 +1,14 @@
 import json
+import random
 
 import pytest
 
+from pushgraph import push
 from pushgraph.cli import main
 from pushgraph.graph import emit_graph, parse_graph
-from pushgraph.families import directed_cycle, uc4
+from pushgraph.families import directed_cycle, random_outerplanar, uc4
+
+from oracles import time_limit
 
 
 def run_cli(capsys, *argv):
@@ -50,7 +54,8 @@ def test_equiv_tournaments(tmp_path, capsys):
     pa, pb = tmp_path / "a.graph", tmp_path / "b.graph"
     pa.write_text(emit_graph(a))
     pb.write_text(emit_graph(b))
-    code, out, _ = run_cli(capsys, "equiv", str(pa), str(pb))
+    with time_limit(30):
+        code, out, _ = run_cli(capsys, "equiv", str(pa), str(pb))
     assert code == 0
     payload = json.loads(out)
     assert payload["equivalent"] is True
@@ -202,3 +207,21 @@ def test_format_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "equiv", "nope.graph", "also-nope.graph")
     assert code == 2
+
+
+def test_equiv_beyond_the_recursion_limit(tmp_path, capsys):
+    # 2000-vertex anti-twinned graphs: deeper than Python's default stack
+    g = random_outerplanar(1000, 5, 1)
+    rng = random.Random(2)
+    h = push(g, [v for v in range(g.n) if rng.random() < 0.5])
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    pa, pb = tmp_path / "a.graph", tmp_path / "b.graph"
+    pa.write_text(emit_graph(g))
+    pb.write_text(emit_graph(h.relabel(perm)))
+    with time_limit(30):
+        code, out, _ = run_cli(capsys, "equiv", str(pa), str(pb))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["equivalent"] is True
+    assert payload["certificate"]["verified"] is True

@@ -1,20 +1,24 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushgraph import (
     GraphError,
     OrientedGraph,
+    anti_twinned,
     canonical_code,
     is_isomorphic,
     is_isomorphism,
     push,
 )
-from pushgraph.families import directed_cycle, uc4
+from pushgraph.families import directed_cycle, random_outerplanar, random_sparse, uc4
 from pushgraph.verify import enumerate_oriented_graphs
 
-from oracles import iso_by_permutations, random_oriented_graph
+from oracles import iso_by_permutations, random_oriented_graph, time_limit
 
 
 def test_identity_isomorphism():
@@ -121,8 +125,6 @@ def test_canonical_code_size_limit():
 def test_canonical_code_on_symmetric_doubled_graphs():
     # anti-twinned graphs carry a global twin-swap automorphism and lifted
     # push symmetries; codes must still collapse exactly the push classes
-    from pushgraph import anti_twinned
-
     rng = random.Random(6)
     for _ in range(12):
         g = random_oriented_graph(rng, rng.randint(1, 5))
@@ -133,3 +135,124 @@ def test_canonical_code_on_symmetric_doubled_graphs():
         assert canonical_code(anti_twinned(g)) == canonical_code(
             anti_twinned(h).relabel(perm)
         )
+
+
+def test_canonical_code_of_edgeless_graphs_returns():
+    # 16 mutual twins: one vertex order to try, not 16! of them
+    expected = ("16|" + ",".join(str(4**k) for k in range(16))).encode()
+    with time_limit(5):
+        assert canonical_code(OrientedGraph(16)) == expected
+        assert canonical_code(anti_twinned(OrientedGraph(8))) == expected
+
+
+@st.composite
+def twin_heavy_graphs(draw) -> OrientedGraph:
+    """An edgeless graph, an out-star with some leaves reversed, or a random
+    graph with duplicated vertices; or the anti-twinned graph of one."""
+    doubled = draw(st.booleans())
+    max_n = 3 if doubled else 7
+    kind = draw(st.sampled_from(("edgeless", "star", "duplicates")))
+    if kind == "edgeless":
+        g = OrientedGraph(draw(st.integers(0, max_n)))
+    elif kind == "star":
+        leaves = draw(st.lists(st.booleans(), max_size=max_n - 1))
+        g = OrientedGraph(
+            len(leaves) + 1,
+            tuple((0, i) if out else (i, 0) for i, out in enumerate(leaves, 1)),
+        )
+    else:
+        n = draw(st.integers(1, max_n))
+        arcs = set()
+        for u, v in combinations(range(n), 2):
+            sense = draw(st.sampled_from((0, 0, 1, 2)))
+            if sense:
+                arcs.add((u, v) if sense == 1 else (v, u))
+        for _ in range(draw(st.integers(0, max_n - n))):
+            # the new vertex copies the whole neighbourhood of an old one
+            x = draw(st.integers(0, n - 1))
+            arcs |= {(n, v) for u, v in arcs if u == x} | {(u, n) for u, v in arcs if v == x}
+            n += 1
+        g = OrientedGraph(n, tuple(arcs))
+    return anti_twinned(g) if doubled else g
+
+
+@st.composite
+def twin_heavy_pairs(draw):
+    """A twin-heavy graph and a relabelled copy, perhaps with one arc reversed
+    or moved to a non-adjacent pair."""
+    g = draw(twin_heavy_graphs())
+    arcs = list(g.arcs)
+    change = draw(st.sampled_from(("none", "reverse", "move"))) if arcs else "none"
+    if change != "none":
+        u, v = arcs.pop(draw(st.integers(0, len(arcs) - 1)))
+        if change == "reverse":
+            arcs.append((v, u))
+        else:
+            adjacent = {frozenset(a) for a in g.arcs}
+            free = [p for p in combinations(range(g.n), 2) if frozenset(p) not in adjacent]
+            arcs.append(draw(st.sampled_from(free)) if free else (u, v))
+    perm = draw(st.permutations(range(g.n)))
+    return g, OrientedGraph(g.n, tuple(arcs)).relabel(perm)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(twin_heavy_pairs())
+def test_twin_heavy_graphs_agree_with_permutation_oracle(pair):
+    g, h = pair
+    isomorphic = iso_by_permutations(g, h) is not None
+    cert = is_isomorphic(g, h)
+    assert (cert is not None) == isomorphic
+    if cert is not None:
+        assert is_isomorphism(g, h, cert.mapping)
+    assert (canonical_code(g) == canonical_code(h)) == isomorphic
+
+
+def _pinned_pairs():
+    """Pairs whose is_isomorphic certificates are pinned below: every class
+    with n <= 5 against a relabelling, its anti-twinned graph against that of
+    a pushed relabelling and against that of the next class of the same
+    shape, and sparse and outerplanar graphs with n = 20..68."""
+    rng = random.Random(20150826)
+
+    def pushed_copy(g):
+        vector = [v for v in range(g.n) if rng.random() < 0.5]
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return push(g, vector).relabel(perm)
+
+    classes = [g for n in range(6) for g in enumerate_oriented_graphs(n)]
+    pairs = []
+    for g in classes:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        pairs.append((g, g.relabel(perm)))
+        pairs.append((anti_twinned(g), anti_twinned(pushed_copy(g))))
+    for a, b in zip(classes, classes[1:]):
+        if (a.n, len(a.arcs)) == (b.n, len(b.arcs)):
+            pairs.append((anti_twinned(a), anti_twinned(b)))
+    for n in (20, 32, 44, 56, 68):
+        for g in (random_outerplanar(n, 5, n), random_sparse(n, n)):
+            pairs.append((anti_twinned(g), anti_twinned(pushed_copy(g))))
+    return pairs
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_codes_and_certificates_match_pinned_digests():
+    # digests recorded from the search without twin pruning: the canonical
+    # codes (and so the class order of enumerate_oriented_graphs) and the
+    # first certificate found must not move
+    classes = [g for n in range(6) for g in enumerate_oriented_graphs(n)]
+    assert _sha256(canonical_code(g).decode() for g in classes) == (
+        "10443d1285e9f39c946002dafb77d9a1582e04292720d995f79cd578cb651584"
+    )
+    assert _sha256(canonical_code(anti_twinned(g)).decode() for g in classes) == (
+        "545873691be84c4696edc74a30b290a1713c4aec30732ea75f50b75d082577d4"
+    )
+    certs = [is_isomorphic(g, h) for g, h in _pinned_pairs()]
+    assert len(certs) == 1545 and sum(c is not None for c in certs) == 1355
+    assert _sha256(repr(c and c.mapping) for c in certs) == (
+        "9c2e886d7e7b57ad51df4a4a66a777d56ef9157b9c9bcc983858967816c19623"
+    )

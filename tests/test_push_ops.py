@@ -23,10 +23,10 @@ from pushgraph import (
     repair_isomorphism,
     split_graph,
 )
-from pushgraph.families import b0, c3, directed_cycle, uc4, zielonka
+from pushgraph.families import b0, c3, directed_cycle, random_outerplanar, uc4, zielonka
 from pushgraph.hom import enumerate_tournaments
 
-from oracles import all_push_homs, push_by_hand, random_oriented_graph
+from oracles import all_push_homs, push_by_hand, random_oriented_graph, time_limit
 
 
 def test_push_empty_set_is_identity():
@@ -326,3 +326,18 @@ def test_push_vector_count_mismatch():
 
     with pytest.raises(FormatError, match="announced"):
         parse_push_vector("push 2\nv 1\n")
+
+
+def test_push_equivalent_beyond_the_recursion_limit():
+    # the anti-twinned graphs have 2000 vertices, so a search that recursed
+    # once per mapped vertex would overflow Python's default stack
+    g = random_outerplanar(1000, 5, 1)
+    rng = random.Random(2)
+    h = push(g, [v for v in range(g.n) if rng.random() < 0.5])
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = h.relabel(perm)
+    with time_limit(30):
+        cert = push_equivalent(g, h)
+    assert cert is not None
+    assert push_by_hand(g, cert.push_vector).relabel(cert.mapping) == h
