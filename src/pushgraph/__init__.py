@@ -13,17 +13,16 @@ from .coloring import (
     CounterexampleFound,
     DischargeReport,
     InconclusiveSearch,
-    TwoStepNeighborhoods,
     build_extension_tables,
     color_outerplanar_g5,
     discharge_audit,
     find_reducible_config,
     path_extend_to_c3,
     push_color_to_paley,
-    two_step_neighborhoods,
 )
 from .density import max_average_degree, mad_less_than
 from .families import (
+    TwoStepNeighborhoods,
     b0,
     b0_pair_report,
     c3,
@@ -33,6 +32,7 @@ from .families import (
     paley_plus,
     random_outerplanar,
     random_sparse,
+    two_step_neighborhoods,
     uc4,
     y_gadget,
     zielonka,
@@ -53,7 +53,6 @@ from .hom import (
     ChromaticResult,
     HomSearchResult,
     PushHomResult,
-    PushHomWitness,
     SearchBudget,
     brute_force_push_hom,
     enumerate_tournaments,
@@ -73,7 +72,7 @@ from .isomorphism import (
 )
 from .push import (
     AgreeDisagreeStats,
-    PushEquivCertificate,
+    PushHomWitness,
     SplitCertificate,
     agree_disagree,
     anti_twin,

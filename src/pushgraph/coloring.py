@@ -15,14 +15,15 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .density import mad_less_than
 from .families import c3, paley_plus, parse_pattern, oriented_path
-from .graph import GraphError, OrientedGraph, _bits, emit_graph
-from .hom import PushHomWitness, SearchBudget, find_push_hom
+from .graph import GraphError, OrientedGraph, emit_graph
+from .hom import SearchBudget, find_push_hom
 from .isomorphism import is_homomorphism
-from .push import push
+from .push import PushHomWitness, push
 
 # pinned digest of the deterministic table construction; a mismatch means the
 # shipped extension data no longer matches the code that consumes it
@@ -40,34 +41,6 @@ class CounterexampleFound(RuntimeError):
 
 class InconclusiveSearch(RuntimeError):
     """The search budget ran out before a verdict was reached."""
-
-
-@dataclass(frozen=True)
-class TwoStepNeighborhoods:
-    """The four two-step reachability sets of a vertex, split by arc senses."""
-
-    out_out: frozenset[int]
-    in_in: frozenset[int]
-    out_in: frozenset[int]
-    in_out: frozenset[int]
-
-
-def two_step_neighborhoods(h: OrientedGraph, v: int) -> TwoStepNeighborhoods:
-    """Vertices reachable from v by two steps of each sense combination."""
-    h._check_vertex(v)
-    out_out = in_in = out_in = in_out = 0
-    for c in h.out_neighbors(v):
-        out_out |= h.out_masks[c]
-        out_in |= h.in_masks[c]
-    for c in h.in_neighbors(v):
-        in_in |= h.in_masks[c]
-        in_out |= h.out_masks[c]
-    return TwoStepNeighborhoods(
-        frozenset(_bits(out_out)),
-        frozenset(_bits(in_in)),
-        frozenset(_bits(out_in)),
-        frozenset(_bits(in_out)),
-    )
 
 
 # -- path extension into the directed triangle ------------------------------
@@ -248,21 +221,16 @@ class ExtensionTables:
     sha256: str
 
 
-_TABLES: ExtensionTables | None = None
-
-
 def _arc_ok(target: OrientedGraph, a: int, b: int, sense: int) -> bool:
     return target.has_arc(a, b) if sense else target.has_arc(b, a)
 
 
+@lru_cache(maxsize=None)
 def build_extension_tables() -> ExtensionTables:
     """Build (and cache) the extension tables; assert their completeness.
 
     An unsolvable key is reported as a contradiction, never patched.
     """
-    global _TABLES
-    if _TABLES is not None:
-        return _TABLES
     target = paley_plus()
     chain: dict = {}
     for cu1, cu2, s1, s2, s3 in product(range(4), range(4), (0, 1), (0, 1), (0, 1)):
@@ -325,8 +293,7 @@ def build_extension_tables() -> ExtensionTables:
             "extension tables changed: digest "
             f"{digest} does not match the pinned {_EXPECTED_TABLES_SHA256}"
         )
-    _TABLES = ExtensionTables(chain, branch, path_ok, digest)
-    return _TABLES
+    return ExtensionTables(chain, branch, path_ok, digest)
 
 
 # -- the sparse colorer -------------------------------------------------------

@@ -9,14 +9,18 @@ failing property aborts loudly instead of shipping a wrong gadget.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .density import mad_less_than
-from .graph import GraphError, OrientedGraph, underlying_girth
-from .push import agree_disagree, cannot_identify, in_common_uc4
+from .graph import GraphError, OrientedGraph, _bits, underlying_girth
+from .push import SplitCertificate, agree_disagree, cannot_identify, in_common_uc4, split_graph
 
 PathPattern = Sequence[bool]
+
+# random_sparse redraws a candidate failing the density check at most this often
+SPARSE_RESAMPLES = 50
 
 
 def parse_pattern(pattern: str | Iterable[bool]) -> tuple[bool, ...]:
@@ -62,6 +66,34 @@ def uc4() -> OrientedGraph:
     return OrientedGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 
 
+@dataclass(frozen=True)
+class TwoStepNeighborhoods:
+    """The four two-step reachability sets of a vertex, split by arc senses."""
+
+    out_out: frozenset[int]
+    in_in: frozenset[int]
+    out_in: frozenset[int]
+    in_out: frozenset[int]
+
+
+def two_step_neighborhoods(h: OrientedGraph, v: int) -> TwoStepNeighborhoods:
+    """Vertices reachable from v by two steps of each sense combination."""
+    h._check_vertex(v)
+    out_out = in_in = out_in = in_out = 0
+    for c in h.out_neighbors(v):
+        out_out |= h.out_masks[c]
+        out_in |= h.in_masks[c]
+    for c in h.in_neighbors(v):
+        in_in |= h.in_masks[c]
+        in_out |= h.out_masks[c]
+    return TwoStepNeighborhoods(
+        frozenset(_bits(out_out)),
+        frozenset(_bits(in_in)),
+        frozenset(_bits(out_in)),
+        frozenset(_bits(in_out)),
+    )
+
+
 def paley_plus() -> OrientedGraph:
     """Directed triangle 0->1->2->0 plus apex 3 dominating all three.
 
@@ -70,8 +102,6 @@ def paley_plus() -> OrientedGraph:
     and mixed-sense pairs reach everything.
     """
     g = OrientedGraph(4, ((0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)))
-    from .coloring import two_step_neighborhoods
-
     everything = frozenset(range(4))
     for v in range(4):
         steps = two_step_neighborhoods(g, v)
@@ -129,33 +159,22 @@ def zielonka_half(k: int) -> OrientedGraph:
     """Induced half of the star-vector graph on a transversal of complement pairs.
 
     The transversal keeps the vertices whose first non-starred coordinate is
-    0, one from each pair {x, complement(x)}.  Anti-twinning the half must
-    reproduce the full graph; the reconstruction is checked arc-for-arc
-    through the explicit pairing, and a failure aborts construction.
+    0, one from each pair {x, complement(x)}.  The complement pairing is
+    handed to split_graph as a split certificate, which checks arc-for-arc
+    that anti-twinning the half reproduces the full graph; a failure aborts
+    construction.
     """
-    from .push import anti_twinned
-
     full = zielonka(k)
     labels = list(_zielonka_labels(k))
     index = {lab: pos for pos, lab in enumerate(labels)}
-    chosen = [
-        index[lab]
-        for lab in labels
-        if next(c for c in lab[1] if c is not None) == 0
+    transversal = [
+        lab for lab in labels if next(c for c in lab[1] if c is not None) == 0
     ]
-    half, new_id = full.induced(chosen)
-    size = len(chosen)
-    image = [0] * (2 * size)
-    for lab in labels:
-        v = index[lab]
-        if v in new_id:
-            image[new_id[v]] = v
-            image[new_id[v] + size] = index[_zielonka_complement(lab)]
-    rebuilt = anti_twinned(half)
-    mapped = {(image[u], image[v]) for u, v in rebuilt.arcs}
-    if mapped != set(full.arcs):
-        raise GraphError("anti-twinning the half does not rebuild the full graph")
-    return half
+    cert = SplitCertificate(
+        tuple(index[lab] for lab in transversal),
+        tuple(index[_zielonka_complement(lab)] for lab in transversal),
+    )
+    return split_graph(full, cert)
 
 
 def zielonka_weight_split_report(k: int) -> dict:
@@ -344,7 +363,7 @@ def random_outerplanar(n: int, min_girth: int, seed: int) -> OrientedGraph:
     return OrientedGraph(n, arcs)
 
 
-def random_sparse(n: int, seed: int, max_attempts: int = 50) -> OrientedGraph:
+def random_sparse(n: int, seed: int) -> OrientedGraph:
     """Random graph with maximum average degree provably below 8/3.
 
     A random tree plus a few extra connections, each subdivided at least
@@ -354,7 +373,7 @@ def random_sparse(n: int, seed: int, max_attempts: int = 50) -> OrientedGraph:
         raise GraphError("random_sparse needs at least one vertex")
     rng = random.Random(seed)
     bound = Fraction(8, 3)
-    for _ in range(max_attempts):
+    for _ in range(SPARSE_RESAMPLES):
         extras = rng.randint(0, max(0, n // 12))
         interior = [rng.randint(2, 4) for _ in range(extras)]
         while sum(interior) > n - 2 and interior:

@@ -2,8 +2,9 @@
 target pushing, and exact oriented/push chromatic numbers.
 
 A push homomorphism of g into h is found by searching an ordinary
-homomorphism of g into the anti-twinned graph of h, pushing the preimages of
-the primed half, and folding anti-twins onto their base vertices.  Chromatic
+homomorphism of g into the anti-twinned graph of h and folding it with
+push.fold_to_push_witness.  The search keeps its choice points on an explicit
+stack, so no recursion limit bounds the source's size.  Chromatic
 numbers enumerate tournament targets only: adding arcs to a target never
 destroys a homomorphism and every oriented graph extends to a tournament, so
 tournaments suffice for the minimum order.
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .graph import GraphError, OrientedGraph, emit_graph
+from .graph import GraphError, OrientedGraph
 from .isomorphism import canonical_code, is_homomorphism
-from .push import anti_twinned, push
+from .push import PushHomWitness, anti_twinned, fold_to_push_witness, push
 
 _FOUND = 1
 _EXHAUSTED = 0
@@ -89,23 +90,6 @@ class HomSearchResult(_SearchStatus):
 
 
 @dataclass(frozen=True)
-class PushHomWitness:
-    """Push vector on the source plus a verified mapping of the pushed source."""
-
-    push_vector: frozenset[int]
-    mapping: tuple[int, ...]
-
-    def to_json(self, target: OrientedGraph) -> dict:
-        """The witness block of the CLI reports, mapping into target."""
-        return {
-            "pushVector": sorted(self.push_vector),
-            "mapping": list(self.mapping),
-            "target": emit_graph(target),
-            "verified": True,
-        }
-
-
-@dataclass(frozen=True)
 class PushHomResult(_SearchStatus):
     _hit = "witness"
     witness: PushHomWitness | None
@@ -123,6 +107,7 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
     instead of being rediscovered once per combination of the others.
     Variable order is deterministic smallest-domain-first with ties broken by
     maximum degree and then vertex id; candidate values ascend by target id.
+    Choice points live on an explicit stack, one frame per assigned vertex.
     Returns (mapping | None, verdict) where verdict is _FOUND, _EXHAUSTED or
     _BUDGET.
     """
@@ -164,8 +149,7 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
                     changed.append(a)
         return True
 
-    root_trail: list[tuple[int, int]] = []
-    if not propagate(list(range(n)), root_trail):
+    if not propagate(list(range(n)), []):
         return None, _EXHAUSTED
 
     def pick() -> int:
@@ -179,30 +163,32 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
                     best, best_key = v, key
         return best
 
-    def backtrack() -> int:
-        v = pick()
-        if v < 0:
-            return _FOUND
-        cand = saved = domains[v]
-        while cand:
-            if not tracker.spend():
-                return _BUDGET
-            low = cand & -cand
-            cand ^= low
-            trail = [(v, saved)]
-            domains[v] = low
-            if propagate([v], trail):
-                verdict = backtrack()
-                if verdict != _EXHAUSTED:
-                    return verdict
-            for a, old in reversed(trail):
-                domains[a] = old
-        return _EXHAUSTED
-
-    verdict = backtrack()
-    if verdict == _FOUND:
+    v = pick()
+    if v < 0:
         return tuple(d.bit_length() - 1 for d in domains), _FOUND
-    return None, verdict
+    # frames [vertex, untried candidates, saved domain, trail of the current
+    # candidate]; the top frame's trail is undone before its next candidate
+    stack = [[v, domains[v], domains[v], []]]
+    while stack:
+        frame = stack[-1]
+        v, cand, saved, trail = frame
+        for a, old in reversed(trail):
+            domains[a] = old
+        if not cand:
+            stack.pop()
+            continue
+        if not tracker.spend():
+            return None, _BUDGET
+        low = cand & -cand
+        trail = [(v, saved)]
+        frame[1], frame[3] = cand ^ low, trail
+        domains[v] = low
+        if propagate([v], trail):
+            v = pick()
+            if v < 0:
+                return tuple(d.bit_length() - 1 for d in domains), _FOUND
+            stack.append([v, domains[v], domains[v], []])
+    return None, _EXHAUSTED
 
 
 def find_hom(
@@ -221,22 +207,6 @@ def find_hom(
     if mapping is not None and not is_homomorphism(g, h, mapping):
         raise AssertionError("solver produced a non-homomorphism")
     return HomSearchResult(mapping, verdict != _BUDGET, tracker.nodes, tracker.seconds)
-
-
-def fold_to_push_witness(
-    g: OrientedGraph, h: OrientedGraph, mapping: tuple[int, ...]
-) -> PushHomWitness:
-    """Turn a homomorphism g -> anti_twinned(h) into a verified push witness.
-
-    Push the preimages of the primed half, then fold every primed image onto
-    its base vertex.
-    """
-    vector = frozenset(v for v in range(g.n) if mapping[v] >= h.n)
-    folded = tuple(w - h.n if w >= h.n else w for w in mapping)
-    witness = PushHomWitness(vector, folded)
-    if not is_homomorphism(push(g, vector), h, folded):
-        raise AssertionError("push witness failed re-verification")
-    return witness
 
 
 def find_push_hom(
@@ -344,7 +314,6 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushy:
     if not 0 <= max_k <= 7:
         raise GraphError("chromatic search supports target orders 0..7 only")
     tracker = _Tracker(budget)
-    all_complete = True
     for k in range(max_k + 1):
         for target in enumerate_tournaments(k):
             if pushy:
@@ -355,15 +324,14 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushy:
                 hit = res.mapping
             if hit is not None:
                 return ChromaticResult(
-                    k, target, hit, k, all_complete, tracker.nodes, tracker.seconds
+                    k, target, hit, k, True, tracker.nodes, tracker.seconds
                 )
             if not res.complete:
-                all_complete = False
                 return ChromaticResult(
                     None, None, None, k, False, tracker.nodes, tracker.seconds
                 )
     return ChromaticResult(
-        None, None, None, max_k + 1, all_complete, tracker.nodes, tracker.seconds
+        None, None, None, max_k + 1, True, tracker.nodes, tracker.seconds
     )
 
 

@@ -183,7 +183,7 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
     return cert
 
 
-def canonical_code(g: OrientedGraph, limit: int = CANONICAL_SIZE_LIMIT) -> bytes:
+def canonical_code(g: OrientedGraph) -> bytes:
     """Canonical byte string: equal codes iff the graphs are isomorphic.
 
     Minimizes the layered adjacency-bit string over every vertex order that
@@ -196,8 +196,8 @@ def canonical_code(g: OrientedGraph, limit: int = CANONICAL_SIZE_LIMIT) -> bytes
     minimum is unchanged.
     """
     n = g.n
-    if n > limit:
-        raise GraphError(f"canonical_code limit exceeded: n={n} > {limit}")
+    if n > CANONICAL_SIZE_LIMIT:
+        raise GraphError(f"canonical_code limit exceeded: n={n} > {CANONICAL_SIZE_LIMIT}")
     if n == 0:
         return b"0|"
     colors = refine_colors(g)

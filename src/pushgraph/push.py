@@ -4,9 +4,11 @@ and push-invariant pair statistics.
 Pushing a vertex set reverses exactly the arcs with one endpoint inside the
 set.  The anti-twinned graph doubles the vertex set, giving vertex i an
 anti-twin i + n whose incident arcs are all reversed; two oriented graphs are
-push-equivalent exactly when their anti-twinned graphs are isomorphic, and
-the isomorphism can be repaired into one that respects anti-twin pairs, from
-which a concrete push vector and vertex bijection are read off.
+push-equivalent exactly when their anti-twinned graphs are isomorphic.  This
+module alone maps anti-twin structure back to the base graph:
+fold_to_push_witness reads a push vector and a mapping off a map into an
+anti-twinned target (push equivalence and push-homomorphism search share it),
+and split_graph rebuilds a graph from an anti-twin split.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import FormatError, GraphError, OrientedGraph, _bits
+from .graph import FormatError, GraphError, OrientedGraph, _bits, emit_graph
 from .isomorphism import (
+    CANONICAL_SIZE_LIMIT,
     IsoCertificate,
     canonical_code,
+    is_homomorphism,
     is_isomorphic,
     is_isomorphism,
 )
@@ -58,12 +62,23 @@ class SplitCertificate:
 
 
 @dataclass(frozen=True)
-class PushEquivCertificate:
-    """Push vector on the source plus a bijection of the pushed source onto
-    the target."""
+class PushHomWitness:
+    """Push vector on the source plus a verified mapping of the pushed source.
+
+    A push-equivalence certificate is the same pair with a bijective mapping.
+    """
 
     push_vector: frozenset[int]
     mapping: tuple[int, ...]
+
+    def to_json(self, target: OrientedGraph) -> dict:
+        """The witness block of the CLI reports, mapping into target."""
+        return {
+            "pushVector": sorted(self.push_vector),
+            "mapping": list(self.mapping),
+            "target": emit_graph(target),
+            "verified": True,
+        }
 
 
 def push(g: OrientedGraph, vertices: Iterable[int]) -> OrientedGraph:
@@ -89,6 +104,21 @@ def anti_twinned(g: OrientedGraph) -> OrientedGraph:
     for i, j in g.arcs:
         arcs.extend([(i, j), (i + n, j + n), (j, i + n), (j + n, i)])
     return OrientedGraph(2 * n, tuple(arcs))
+
+
+def fold_to_push_witness(
+    g: OrientedGraph, h: OrientedGraph, mapping: tuple[int, ...]
+) -> PushHomWitness:
+    """Turn a homomorphism g -> anti_twinned(h) into a verified push witness.
+
+    Push the preimages of the primed half, then fold every primed image onto
+    its base vertex.
+    """
+    vector = frozenset(v for v in range(g.n) if mapping[v] >= h.n)
+    folded = tuple(w - h.n if w >= h.n else w for w in mapping)
+    if not is_homomorphism(push(g, vector), h, folded):
+        raise AssertionError("push witness failed re-verification")
+    return PushHomWitness(vector, folded)
 
 
 def repair_isomorphism(
@@ -130,12 +160,13 @@ def repair_isomorphism(
     return repaired
 
 
-def push_equivalent(g: OrientedGraph, h: OrientedGraph) -> PushEquivCertificate | None:
+def push_equivalent(g: OrientedGraph, h: OrientedGraph) -> PushHomWitness | None:
     """Certificate that h is reachable from g by pushing a vertex set, if it is.
 
     Decides by testing anti_twinned(g) against anti_twinned(h), repairs the
-    isomorphism, pushes the base vertices whose repaired image lands in the
-    primed half, and re-verifies the extracted witness before returning it.
+    isomorphism, folds its base half (a homomorphism g -> anti_twinned(h))
+    into a push vector and mapping, and re-verifies that the mapping is an
+    isomorphism before returning it.
     """
     if g.n != h.n or len(g.arcs) != len(h.arcs):
         return None
@@ -143,15 +174,10 @@ def push_equivalent(g: OrientedGraph, h: OrientedGraph) -> PushEquivCertificate 
     if found is None:
         return None
     repaired = repair_isomorphism(g, h, found)
-    n = g.n
-    vector = frozenset(v for v in range(n) if repaired.mapping[v] >= n)
-    mapping = tuple(
-        repaired.mapping[v] - n if repaired.mapping[v] >= n else repaired.mapping[v]
-        for v in range(n)
-    )
-    if not is_isomorphism(push(g, vector), h, mapping):
+    witness = fold_to_push_witness(g, h, repaired.mapping[: g.n])
+    if not is_isomorphism(push(g, witness.push_vector), h, witness.mapping):
         raise AssertionError("push-equivalence witness failed re-verification")
-    return PushEquivCertificate(vector, mapping)
+    return witness
 
 
 def is_splitable(g: OrientedGraph) -> SplitCertificate | None:
@@ -214,10 +240,9 @@ def split_graph(g: OrientedGraph, cert: SplitCertificate) -> OrientedGraph:
     (part_one in order, then the partner of each), not by isomorphism search.
     """
     _validate_split(g, cert)
-    half, _ = g.induced(cert.part_one)
-    # position i of part_one becomes vertex i; its partner becomes i + k
-    sorted_one = sorted(cert.part_one)
-    position = {v: sorted_one.index(v) for v in cert.part_one}
+    # u in part_one becomes vertex position[u] of the half; its partner
+    # becomes position[u] + k
+    half, position = g.induced(cert.part_one)
     k = len(cert.part_one)
     image = [0] * g.n
     for u, w in zip(cert.part_one, cert.part_two):
@@ -296,14 +321,15 @@ def cannot_identify(g: OrientedGraph, x: int, y: int) -> bool:
     return agree_disagree(g, x, y).min_count >= 1
 
 
-def push_orbit(g: OrientedGraph, limit: int = 16) -> list[bytes]:
+def push_orbit(g: OrientedGraph) -> list[bytes]:
     """Sorted canonical codes of every push of g, deduplicated.
 
     Pushing a set and its complement coincide, so only vectors avoiding
-    vertex 0 are enumerated.
+    the last vertex are enumerated.  Every push has g's order, so g must be
+    within canonical_code's size limit.
     """
-    if g.n > limit:
-        raise GraphError(f"push_orbit limit exceeded: n={g.n} > {limit}")
+    if g.n > CANONICAL_SIZE_LIMIT:
+        raise GraphError(f"push_orbit limit exceeded: n={g.n} > {CANONICAL_SIZE_LIMIT}")
     if g.n == 0:
         return [canonical_code(g)]
     codes = {canonical_code(g)}

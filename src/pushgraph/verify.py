@@ -441,7 +441,7 @@ def suite_gadgets_p3(claim3: bool = False, budget: hom.SearchBudget | None = Non
     with suite.check("gadgets/apex-triangle-identities") as verdict:
         target = families.paley_plus()
         everything = frozenset(range(4))
-        steps = [coloring.two_step_neighborhoods(target, v) for v in range(4)]
+        steps = [families.two_step_neighborhoods(target, v) for v in range(4)]
         verdict(
             all(
                 s.out_out | s.in_in == everything - {v} and s.out_in | s.in_out == everything

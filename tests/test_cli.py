@@ -8,7 +8,7 @@ from pushgraph.cli import main
 from pushgraph.graph import emit_graph, parse_graph
 from pushgraph.families import directed_cycle, random_outerplanar, uc4
 
-from oracles import time_limit
+from oracles import push_by_hand, time_limit
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +156,21 @@ def test_color_outerplanar(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "color", "outerplanar5", str(path))
     assert code == 0
     assert json.loads(out)["status"] == "found"
+
+
+def test_color_outerplanar5_beyond_the_recursion_limit(tmp_path, capsys):
+    g = random_outerplanar(3000, 5, 15)
+    path = tmp_path / "outer.graph"
+    path.write_text(emit_graph(g))
+    with time_limit(30):
+        code, out, _ = run_cli(capsys, "color", "outerplanar5", str(path))
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert witness["verified"] is True
+    target = parse_graph(witness["target"])
+    mapping = witness["mapping"]
+    pushed = push_by_hand(g, witness["pushVector"])
+    assert all(target.has_arc(mapping[u], mapping[v]) for u, v in pushed.arcs)
 
 
 def test_verify_suite_exit_and_json(tmp_path, capsys):

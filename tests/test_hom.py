@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -17,9 +18,17 @@ from pushgraph import (
     push_chromatic_number,
     transfer,
 )
-from pushgraph.families import c3, directed_cycle, girth8_witness, uc4
+from pushgraph.families import b0, c3, directed_cycle, girth8_witness, uc4
+from pushgraph.graph import emit_graph
+from pushgraph.verify import enumerate_oriented_graphs
 
-from oracles import hom_by_enumeration, push_hom_by_double_enumeration, random_oriented_graph
+from oracles import (
+    hom_by_enumeration,
+    push_by_hand,
+    push_hom_by_double_enumeration,
+    random_oriented_graph,
+    time_limit,
+)
 
 
 def test_nine_cycle_maps_to_triangle():
@@ -72,6 +81,17 @@ def test_push_hom_witness_is_reverified_composition():
     assert is_homomorphism(
         push(directed_cycle(9), witness.push_vector), c3(), witness.mapping
     )
+
+
+def test_push_hom_beyond_the_recursion_limit():
+    # one choice point per assigned vertex: a search that recursed per
+    # vertex would overflow Python's default stack long before 3000
+    g = directed_cycle(3000)
+    with time_limit(30):
+        res = find_push_hom(g, c3())
+    assert res.status == "found"
+    pushed = push_by_hand(g, res.witness.push_vector)
+    assert all(c3().has_arc(res.witness.mapping[u], res.witness.mapping[v]) for u, v in pushed.arcs)
 
 
 def test_witness_refuses_triangle_with_proof():
@@ -247,3 +267,44 @@ def test_pushing_the_target_never_helps():
                 for bits in range(1, 1 << h.n)
             )
             assert one_sided == two_sided
+
+
+def _hit(hit):
+    return (sorted(hit.push_vector), hit.mapping) if hasattr(hit, "push_vector") else hit
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_solver_results_match_pinned_digests():
+    # witnesses and node counts pin the solver's variable and value order
+    # and the points where it spends a node
+    classes = [g for n in range(6) for g in enumerate_oriented_graphs(n)]
+
+    def chromatic(res):
+        target = res.target and emit_graph(res.target)
+        return repr((res.value, target, _hit(res.witness), res.lower_bound, res.complete, res.nodes))
+
+    assert _sha256(chromatic(push_chromatic_number(g)) for g in classes) == (
+        "113a7fa6a98e84a9118d4d3ede81f42dfa1cd578870e694f262e51bc5134492a"
+    )
+    assert _sha256(chromatic(oriented_chromatic_number(g)) for g in classes) == (
+        "0fbd16ad1d02c8b73d043c6be7209927c140ce72cee93b5d16969045ed9762da"
+    )
+    expected = {
+        1: "ff5efdd0c7ddbaa6589e0f3aea30740d66f080775478f419a8db22373d4969c3",
+        3: "474dfadde6f89fe6fd2a4c440322889d57e2f7ea084d53d566b01f0bac1d0ff1",
+        10**7: "f13117c3de9e076ab892269be243188738babcdb3e1943d910429208504e0b5a",
+    }
+    sources = classes[::7] + [directed_cycle(9), b0(), girth8_witness()]
+    for nodes, digest in expected.items():
+        budget = SearchBudget(max_nodes=nodes)
+        lines = []
+        for g in sources:
+            for h in (c3(), uc4(), directed_cycle(5)):
+                res = find_hom(g, h, budget)
+                lines.append(repr((res.status, res.mapping, res.nodes)))
+                res = find_push_hom(g, h, budget)
+                lines.append(repr((res.status, _hit(res.witness), res.nodes)))
+        assert _sha256(lines) == digest

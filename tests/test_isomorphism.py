@@ -119,7 +119,7 @@ def test_canonical_code_distinguishes_triangles():
 
 def test_canonical_code_size_limit():
     with pytest.raises(GraphError, match="limit"):
-        canonical_code(OrientedGraph(20), limit=16)
+        canonical_code(OrientedGraph(20))
 
 
 def test_canonical_code_on_symmetric_doubled_graphs():

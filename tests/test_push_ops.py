@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from pushgraph import (
     brute_force_push_hom,
     canonical_code,
     cannot_identify,
+    emit_graph,
     emit_push_vector,
     in_common_uc4,
     is_isomorphic,
@@ -23,8 +25,18 @@ from pushgraph import (
     repair_isomorphism,
     split_graph,
 )
-from pushgraph.families import b0, c3, directed_cycle, random_outerplanar, uc4, zielonka
+from pushgraph.families import (
+    b0,
+    c3,
+    directed_cycle,
+    random_outerplanar,
+    random_sparse,
+    uc4,
+    zielonka,
+    zielonka_half,
+)
 from pushgraph.hom import enumerate_tournaments
+from pushgraph.verify import enumerate_oriented_graphs
 
 from oracles import all_push_homs, push_by_hand, random_oriented_graph, time_limit
 
@@ -341,3 +353,46 @@ def test_push_equivalent_beyond_the_recursion_limit():
         cert = push_equivalent(g, h)
     assert cert is not None
     assert push_by_hand(g, cert.push_vector).relabel(cert.mapping) == h
+
+
+def _pushed_copy(g, seed):
+    rng = random.Random(seed)
+    h = push(g, [v for v in range(g.n) if rng.random() < 0.5])
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return h.relabel(perm)
+
+
+def _certificate_digest(certs) -> str:
+    lines = (repr((sorted(c.push_vector), c.mapping)) for c in certs)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_push_equivalent_certificates_match_pinned_digests():
+    # pins the exact push vector and bijection that repair + fold return,
+    # not only that some certificate exists
+    classes = [g for n in range(6) for g in enumerate_oriented_graphs(n)]
+    certs = [push_equivalent(g, _pushed_copy(g, i)) for i, g in enumerate(classes)]
+    assert len(certs) == 635 and None not in certs
+    assert _certificate_digest(certs) == (
+        "dbe860112b958a94059bbfb197001121a284c1036b5e12b2d263bc5a490385d5"
+    )
+    graphs = [
+        family(n)
+        for n in (32, 48, 64, 96, 128)
+        for family in (lambda n: random_outerplanar(n, 5, n), lambda n: random_sparse(n, n))
+    ]
+    certs = [push_equivalent(g, _pushed_copy(g, g.n)) for g in graphs]
+    assert None not in certs
+    assert _certificate_digest(certs) == (
+        "a26803cbc518aef31defa9600f859753af99581dd49f837b358bdaabfb02c663"
+    )
+
+
+def test_zielonka_half_matches_pinned_digest():
+    # pins the vertex numbering that `pushgraph gen zielonka-half k` prints
+    halves = [zielonka_half(k) for k in range(2, 7)]
+    assert [h.n for h in halves] == [k * 2 ** (k - 2) for k in range(2, 7)]
+    assert hashlib.sha256("".join(emit_graph(h) for h in halves).encode()).hexdigest() == (
+        "b98b80b823d1279f4bc96617a9f000dbc05b35375346df39ae6a330001d1925d"
+    )
