@@ -1,7 +1,8 @@
-"""Exact maximum average degree via densest-subgraph min-cut tests.
+"""Exact maximum average degree: Dinkelbach iteration over Goldberg min cuts.
 
 All arithmetic is integral or rational; the 8/3 sparseness threshold is a
-strict comparison, so floating point is never used.
+strict comparison, so floating point is never used.  The max-flow keeps its
+augmenting path in a list, so no input meets Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .graph import GraphError, OrientedGraph
 
 class _Dinic:
     def __init__(self, size: int):
-        self.size = size
         self.head: list[list[int]] = [[] for _ in range(size)]
         self.to: list[int] = []
         self.cap: list[int] = []
@@ -27,55 +27,52 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(rcap)
 
-    def max_flow(self, s: int, t: int) -> int:
+    def min_cut(self, s: int, t: int) -> tuple[int, list[int]]:
+        """The max-flow value and the levels of the last residual BFS: the
+        vertices with a level >= 0 are the source side of a minimum cut."""
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
-            level = [-1] * self.size
+            level = [-1] * len(head)
             level[s] = 0
             queue = deque([s])
             while queue:
                 u = queue.popleft()
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
+                for e in head[u]:
+                    v = to[e]
+                    if cap[e] > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
-                return flow
-            it = [0] * self.size
-
-            def push(u: int, limit: int) -> int:
-                if u == t:
-                    return limit
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = push(v, min(limit, self.cap[e]))
-                        if got > 0:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+                return flow, level
+            it = [0] * len(head)
+            # depth-first augmenting paths in the level graph, as a list of arc
+            # ids: a dead end retreats one arc and advances the parent's
+            # pointer; reaching t augments by the bottleneck and restarts at s
+            path: list[int] = []
+            u = s
             while True:
-                pushed = push(s, 1 << 62)
-                if pushed == 0:
+                if u == t:
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                elif it[u] < len(head[u]):
+                    e = head[u][it[u]]
+                    v = to[e]
+                    if cap[e] > 0 and level[v] == level[u] + 1:
+                        path.append(e)
+                        u = v
+                    else:
+                        it[u] += 1
+                elif path:
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
                     break
-                flow += pushed
-
-    def source_side(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
 
 def _denser_subgraph(g: OrientedGraph, num: int, den: int) -> list[int] | None:
@@ -83,11 +80,10 @@ def _denser_subgraph(g: OrientedGraph, num: int, den: int) -> list[int] | None:
 
     Goldberg's network: source -> v with capacity den*deg(v), v -> sink with
     capacity 2*num, and both directions of every underlying edge with
-    capacity den.  A min cut strictly below den*sum(deg) witnesses S.
+    capacity den.  A min cut strictly below den*sum(deg) witnesses S; its
+    source side maximises den*e(S) - num*|S|.
     """
     edges = g.edges()
-    if not edges:
-        return None
     net = _Dinic(g.n + 2)
     source, sink = g.n, g.n + 1
     total = 0
@@ -98,10 +94,10 @@ def _denser_subgraph(g: OrientedGraph, num: int, den: int) -> list[int] | None:
         net.add_edge(v, sink, 2 * num)
     for u, v in edges:
         net.add_edge(u, v, den, den)
-    if net.max_flow(source, sink) >= total:
+    flow, level = net.min_cut(source, sink)
+    if flow >= total:
         return None
-    side = net.source_side(source)
-    chosen = sorted(v for v in side if v < g.n)
+    chosen = [v for v in range(g.n) if level[v] >= 0]
     if not chosen:
         raise AssertionError("min cut below total flow must expose a subgraph")
     return chosen
@@ -114,23 +110,19 @@ def _density(g: OrientedGraph, vertices: list[int]) -> Fraction:
 
 
 def max_average_degree(g: OrientedGraph) -> Fraction:
-    """Exact mad(g) = max over non-empty subgraphs H of 2|E(H)|/|V(H)|."""
+    """Exact mad(g) = max over non-empty subgraphs H of 2|E(H)|/|V(H)|.
+
+    Dinkelbach iteration over Goldberg min cuts: from the whole graph's
+    density d, each cut exposes the subgraph maximising e(S) - d*|S|, which is
+    denser than d whenever any subgraph is, so d rises through achieved
+    densities and stops at the maximum.
+    """
     if g.n < 1:
         raise GraphError("max_average_degree requires at least one vertex")
-    if not g.arcs:
-        return Fraction(0)
-    n = g.n
-    lo = _density(g, list(range(n)))  # achieved by the whole graph
-    hi = Fraction(n, 2)  # e(S)/|S| <= (|S|-1)/2 < n/2
-    gap = Fraction(1, n * n)  # distinct densities p/q, q <= n differ by more
-    while hi - lo > gap:
-        mid = (lo + hi) / 2
-        found = _denser_subgraph(g, mid.numerator, mid.denominator)
-        if found is None:
-            hi = mid
-        else:
-            lo = _density(g, found)
-    return 2 * lo
+    best = _density(g, list(range(g.n)))
+    while (denser := _denser_subgraph(g, best.numerator, best.denominator)) is not None:
+        best = _density(g, denser)
+    return 2 * best
 
 
 def mad_less_than(g: OrientedGraph, bound: Fraction) -> bool:
@@ -143,7 +135,5 @@ def mad_less_than(g: OrientedGraph, bound: Fraction) -> bool:
         raise GraphError("mad_less_than requires at least one vertex")
     if bound <= 0:
         return False
-    if not g.arcs:
-        return True
     a, b = bound.numerator, bound.denominator
     return _denser_subgraph(g, a * g.n - 1, 2 * b * g.n) is None

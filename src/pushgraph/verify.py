@@ -791,8 +791,13 @@ SUITES = {
 }
 
 
+# smallest --max-n of the suites that build instances of at least that size;
+# every other count and max_n may go down to 0
+_MIN_MAX_N = {"prop-transfer": 1, "outerplanar5": 5, "girth8-upper": 1}
+
+
 def run_suite(name: str, **options) -> VerdictReport:
-    """Run one named suite; unknown names raise ValueError.
+    """Run one named suite; unknown names and out-of-range sizes raise ValueError.
 
     Each suite declares its options and their defaults in its signature; it
     receives only the options it declares, and an option given as None keeps
@@ -802,4 +807,8 @@ def run_suite(name: str, **options) -> VerdictReport:
         raise ValueError(f"unknown suite {name!r}; known suites: {', '.join(SUITES)}")
     suite = SUITES[name]
     declared = inspect.signature(suite).parameters
-    return suite(**{k: v for k, v in options.items() if v is not None and k in declared})
+    chosen = {k: v for k, v in options.items() if v is not None and k in declared}
+    for key, low in (("count", 0), ("max_n", _MIN_MAX_N.get(name, 0))):
+        if chosen.get(key, low) < low:
+            raise ValueError(f"--{key.replace('_', '-')} must be at least {low} for {name}")
+    return suite(**chosen)

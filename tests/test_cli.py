@@ -203,6 +203,27 @@ def test_verify_budget_exhaustion_exits_3(capsys, suite_args):
     assert payload["summary"]["fail"] == 0
 
 
+OUT_OF_RANGE_SIZES = [
+    (["prop-transfer", "--count", "-3"], "--count must be at least 0"),
+    (["girth8-upper", "--count", "-2"], "--count must be at least 0"),
+    (["theorem-antitwin", "--max-n", "-1"], "--max-n must be at least 0"),
+    (["lemma-split", "--max-n", "-2"], "--max-n must be at least 0"),
+    (["sandwich", "--max-n", "-1"], "--max-n must be at least 0"),
+    (["outerplanar5", "--max-n", "4"], "--max-n must be at least 5"),
+    (["prop-transfer", "--max-n", "0"], "--max-n must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite_args, message", OUT_OF_RANGE_SIZES, ids=[" ".join(a) for a, _ in OUT_OF_RANGE_SIZES]
+)
+def test_verify_out_of_range_sizes_exit_2(capsys, suite_args, message):
+    code, out, err = run_cli(capsys, "verify", *suite_args)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "nonsense")
     assert code == 2

@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushgraph import (
     FormatError,
@@ -16,7 +19,7 @@ from pushgraph import (
     underlying_girth,
 )
 from pushgraph.density import mad_less_than
-from pushgraph.families import b0, directed_cycle, girth8_witness
+from pushgraph.families import b0, directed_cycle, girth8_witness, oriented_path
 
 from oracles import girth_by_edge_removal, mad_by_subset_enumeration, random_oriented_graph
 
@@ -133,6 +136,39 @@ def test_mad_threshold_agrees_with_exact_value():
     for _ in range(30):
         g = random_oriented_graph(rng, rng.randint(1, 9), p=rng.uniform(0.1, 0.9))
         assert mad_less_than(g, bound) == (max_average_degree(g) < bound)
+
+
+@st.composite
+def core_and_tail_graphs(draw) -> OrientedGraph:
+    """Up to 10 vertices: a random core, dense or not, with a randomly
+    oriented path hanging off it, so that the densest subgraph is often a
+    proper part of the graph."""
+    n = draw(st.integers(1, 10))
+    core = draw(st.integers(1, n))
+    senses = draw(st.sampled_from(((0, 1, 2), (0, 1, 1, 2, 2), (1, 2))))
+    arcs = []
+    for u, v in combinations(range(core), 2):
+        sense = draw(st.sampled_from(senses))
+        if sense:
+            arcs.append((u, v) if sense == 1 else (v, u))
+    for v in range(core, n):
+        u = draw(st.integers(0, core - 1)) if v == core else v - 1
+        arcs.append((u, v) if draw(st.booleans()) else (v, u))
+    return OrientedGraph(n, tuple(arcs))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(core_and_tail_graphs())
+def test_mad_and_threshold_agree_with_subset_enumeration(g):
+    mad = max_average_degree(g)
+    assert mad == mad_by_subset_enumeration(g)
+    assert mad_less_than(g, mad) is False
+    assert mad_less_than(g, mad + Fraction(1, 2 * g.n * g.n)) is True
+
+
+def test_mad_beyond_the_recursion_limit():
+    # every augmenting path of the min cut runs along the 2000-vertex path
+    assert max_average_degree(oriented_path("+" * 1999)) == Fraction(1999, 1000)
 
 
 def test_disjoint_union_counts():

@@ -46,3 +46,52 @@ def test_module_import_graph_is_acyclic():
 def test_one_push_witness_type_and_fold():
     assert hom.PushHomWitness is push.PushHomWitness
     assert hom.fold_to_push_witness is push.fold_to_push_witness
+
+
+def _calls_itself(func) -> bool:
+    """A call by bare name, or through self, to the function's own name."""
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = node.func
+        if isinstance(callee, ast.Name) and callee.id == func.name:
+            return True
+        if (
+            isinstance(callee, ast.Attribute)
+            and callee.attr == func.name
+            and isinstance(callee.value, ast.Name)
+            and callee.value.id == "self"
+        ):
+            return True
+    return False
+
+
+def _self_calling_functions() -> set[str]:
+    found: set[str] = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                    found.add(name)
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_recursion_only_where_its_depth_is_bounded():
+    assert _self_calling_functions() == {
+        # one level per tournament order, k <= 7
+        "hom.enumerate_tournaments",
+        # one level per placed vertex, n <= CANONICAL_SIZE_LIMIT
+        "isomorphism.canonical_code.dfs",
+        # one level per row of the 9-vertex tournament, depth 9
+        "verify.nine_tournament_constraint_search.place_row",
+        # one level per order below n; callers fill its cache bottom-up
+        "verify.enumerate_oriented_graphs",
+    }
