@@ -12,7 +12,6 @@ from .coloring import (
     ConfigKind,
     CounterexampleFound,
     DischargeReport,
-    InconclusiveSearch,
     build_extension_tables,
     color_outerplanar_g5,
     discharge_audit,
@@ -53,7 +52,6 @@ from .hom import (
     ChromaticResult,
     HomSearchResult,
     PushHomResult,
-    SearchBudget,
     brute_force_push_hom,
     enumerate_tournaments,
     find_hom,
@@ -88,5 +86,6 @@ from .push import (
     repair_isomorphism,
     split_graph,
 )
+from .search import InconclusiveSearch, SearchBudget
 
 __version__ = "0.1.0"

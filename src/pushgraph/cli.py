@@ -23,6 +23,7 @@ from .push import (
     push_equivalent,
     split_graph,
 )
+from .search import InconclusiveSearch, SearchBudget
 
 SCHEMA_VERSION = verify.SCHEMA_VERSION
 
@@ -73,8 +74,8 @@ def _load_graph(path: str) -> OrientedGraph:
     return parse_graph(Path(path).read_text(encoding="utf-8"))
 
 
-def _budget(args) -> hom.SearchBudget:
-    return hom.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
+def _budget(args) -> SearchBudget:
+    return SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
 
 
 def _emit_json(payload: dict, args) -> None:
@@ -151,21 +152,17 @@ def cmd_split(args) -> int:
 def cmd_hom(args) -> int:
     g = _load_graph(args.graph)
     h = _load_graph(args.other)
-    if args.push:
-        res = hom.find_push_hom(g, h, _budget(args))
-        hit = res.witness
-    else:
-        res = hom.find_hom(g, h, _budget(args))
-        hit = res.mapping
+    search = hom.find_push_hom if args.push else hom.find_hom
+    res = search(g, h, _budget(args))
     payload: dict = {
         "kind": "push" if args.push else "oriented",
         "status": res.status,
         "nodes": res.nodes,
     }
-    if hit is not None:
-        payload["witness"] = _witness(hit).to_json(h)
+    if res.hit is not None:
+        payload["witness"] = _witness(res.hit).to_json(h)
     _emit_json(payload, args)
-    return EXIT_BUDGET if res.status == "budget-exhausted" else EXIT_OK
+    return EXIT_OK if res.complete else EXIT_BUDGET
 
 
 def cmd_push(args) -> int:
@@ -177,11 +174,8 @@ def cmd_push(args) -> int:
 
 def cmd_chroma(args) -> int:
     g = _load_graph(args.graph)
-    budget = _budget(args)
-    if args.kind == "push":
-        res = hom.push_chromatic_number(g, args.max_k, budget)
-    else:
-        res = hom.oriented_chromatic_number(g, args.max_k, budget)
+    chromatic = hom.push_chromatic_number if args.kind == "push" else hom.oriented_chromatic_number
+    res = chromatic(g, args.max_k, _budget(args))
     payload: dict = {
         "kind": args.kind,
         "maxK": args.max_k,
@@ -221,7 +215,7 @@ def cmd_color(args) -> int:
             cert = coloring.push_color_to_paley(g)
         else:
             cert = coloring.color_outerplanar_g5(g, _budget(args))
-    except coloring.InconclusiveSearch as exc:
+    except InconclusiveSearch as exc:
         _emit_json({"status": "budget-exhausted", "detail": str(exc)}, args)
         return EXIT_BUDGET
     except coloring.CounterexampleFound as exc:

@@ -21,9 +21,10 @@ from itertools import product
 from .density import mad_less_than
 from .families import c3, paley_plus, parse_pattern, oriented_path
 from .graph import GraphError, OrientedGraph, emit_graph
-from .hom import SearchBudget, find_push_hom
+from .hom import find_push_hom
 from .isomorphism import is_homomorphism
 from .push import PushHomWitness, push
+from .search import InconclusiveSearch, SearchBudget
 
 # pinned digest of the deterministic table construction; a mismatch means the
 # shipped extension data no longer matches the code that consumes it
@@ -37,10 +38,6 @@ class CounterexampleFound(RuntimeError):
         self.detail = detail
         self.graph_text = graph_text
         super().__init__(detail)
-
-
-class InconclusiveSearch(RuntimeError):
-    """The search budget ran out before a verdict was reached."""
 
 
 # -- path extension into the directed triangle ------------------------------

@@ -4,7 +4,9 @@ target pushing, and exact oriented/push chromatic numbers.
 A push homomorphism of g into h is found by searching an ordinary
 homomorphism of g into the anti-twinned graph of h and folding it with
 push.fold_to_push_witness.  The search keeps its choice points on an explicit
-stack, so no recursion limit bounds the source's size.  Chromatic
+stack, so no recursion limit bounds the source's size, and spends its nodes
+on a pushgraph.search tracker, which owns the budget and the three outcomes
+(found, none, budget-exhausted) that every result reports.  Chromatic
 numbers enumerate tournament targets only: adding arcs to a target never
 destroys a homomorphism and every oriented graph extends to a tournament, so
 tournaments suffice for the minimum order.
@@ -12,7 +14,6 @@ tournaments suffice for the minimum order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -20,58 +21,7 @@ from typing import Iterable
 from .graph import GraphError, OrientedGraph
 from .isomorphism import canonical_code, is_homomorphism
 from .push import PushHomWitness, anti_twinned, fold_to_push_witness, push
-
-_FOUND = 1
-_EXHAUSTED = 0
-_BUDGET = -1
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits for one logical search."""
-
-    max_nodes: int = 10_000_000
-    max_seconds: float = 60.0
-
-    def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
-            raise GraphError("search budget limits must be positive")
-
-
-class _Tracker:
-    """Mutable node/time accounting shared by the searches of one operation."""
-
-    def __init__(self, budget: SearchBudget | None):
-        budget = budget or SearchBudget()
-        self.max_nodes = budget.max_nodes
-        self.deadline = time.monotonic() + budget.max_seconds
-        self.start = time.monotonic()
-        self.nodes = 0
-
-    def spend(self) -> bool:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            return False
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            return False
-        return True
-
-    @property
-    def seconds(self) -> float:
-        return time.monotonic() - self.start
-
-
-class _SearchStatus:
-    """The three outcomes of a search: a verified hit, a proven absence, or a
-    budget-truncated search.  Subclasses name the field holding the hit."""
-
-    _hit: str
-
-    @property
-    def status(self) -> str:
-        if getattr(self, self._hit) is not None:
-            return "found"
-        return "none" if self.complete else "budget-exhausted"
+from .search import SearchBudget, _SearchStatus, _Tracker
 
 
 @dataclass(frozen=True)
@@ -108,14 +58,13 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
     Variable order is deterministic smallest-domain-first with ties broken by
     maximum degree and then vertex id; candidate values ascend by target id.
     Choice points live on an explicit stack, one frame per assigned vertex.
-    Returns (mapping | None, verdict) where verdict is _FOUND, _EXHAUSTED or
-    _BUDGET.
+    Returns the mapping, or None when there is none or the tracker ran out.
     """
     n = g.n
     if n == 0:
-        return (), _FOUND
+        return ()
     if h.n == 0:
-        return None, _EXHAUSTED
+        return None
     degree = [g.degree(v) for v in range(n)]
     h_out, h_in = h.out_masks, h.in_masks
     constraints: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
@@ -150,7 +99,7 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
         return True
 
     if not propagate(list(range(n)), []):
-        return None, _EXHAUSTED
+        return None
 
     def pick() -> int:
         best = -1
@@ -165,7 +114,7 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
 
     v = pick()
     if v < 0:
-        return tuple(d.bit_length() - 1 for d in domains), _FOUND
+        return tuple(d.bit_length() - 1 for d in domains)
     # frames [vertex, untried candidates, saved domain, trail of the current
     # candidate]; the top frame's trail is undone before its next candidate
     stack = [[v, domains[v], domains[v], []]]
@@ -178,7 +127,7 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
             stack.pop()
             continue
         if not tracker.spend():
-            return None, _BUDGET
+            return None
         low = cand & -cand
         trail = [(v, saved)]
         frame[1], frame[3] = cand ^ low, trail
@@ -186,9 +135,9 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
         if propagate([v], trail):
             v = pick()
             if v < 0:
-                return tuple(d.bit_length() - 1 for d in domains), _FOUND
+                return tuple(d.bit_length() - 1 for d in domains)
             stack.append([v, domains[v], domains[v], []])
-    return None, _EXHAUSTED
+    return None
 
 
 def find_hom(
@@ -203,10 +152,10 @@ def find_hom(
     complete=False the budget ran out first.
     """
     tracker = _tracker or _Tracker(budget)
-    mapping, verdict = _solve(g, h, tracker)
+    mapping = _solve(g, h, tracker)
     if mapping is not None and not is_homomorphism(g, h, mapping):
         raise AssertionError("solver produced a non-homomorphism")
-    return HomSearchResult(mapping, verdict != _BUDGET, tracker.nodes, tracker.seconds)
+    return HomSearchResult(mapping, not tracker.exhausted, tracker.nodes, tracker.seconds)
 
 
 def find_push_hom(
@@ -217,11 +166,9 @@ def find_push_hom(
 ) -> PushHomResult:
     """Search for a push homomorphism of g into h via the anti-twin reduction."""
     tracker = _tracker or _Tracker(budget)
-    inner = find_hom(g, anti_twinned(h), _tracker=tracker)
-    if inner.mapping is None:
-        return PushHomResult(None, inner.complete, tracker.nodes, tracker.seconds)
-    witness = fold_to_push_witness(g, h, inner.mapping)
-    return PushHomResult(witness, True, tracker.nodes, tracker.seconds)
+    mapping = find_hom(g, anti_twinned(h), _tracker=tracker).mapping
+    witness = None if mapping is None else fold_to_push_witness(g, h, mapping)
+    return PushHomResult(witness, not tracker.exhausted, tracker.nodes, tracker.seconds)
 
 
 def brute_force_push_hom(
@@ -238,15 +185,15 @@ def brute_force_push_hom(
     for bits in range(1 << max(g.n - 1, 0)):
         vector = frozenset(v for v in range(g.n) if bits >> v & 1)
         presented = push(g, vector)
-        res = find_hom(presented, h, _tracker=tracker)
-        if res.mapping is not None:
-            witness = PushHomWitness(vector, res.mapping)
-            if not is_homomorphism(presented, h, witness.mapping):
+        mapping = find_hom(presented, h, _tracker=tracker).mapping
+        if mapping is not None:
+            if not is_homomorphism(presented, h, mapping):
                 raise AssertionError("brute-force witness failed re-verification")
+            witness = PushHomWitness(vector, mapping)
             return PushHomResult(witness, True, tracker.nodes, tracker.seconds)
-        if not res.complete:
-            return PushHomResult(None, False, tracker.nodes, tracker.seconds)
-    return PushHomResult(None, True, tracker.nodes, tracker.seconds)
+        if tracker.exhausted:
+            break
+    return PushHomResult(None, not tracker.exhausted, tracker.nodes, tracker.seconds)
 
 
 def transfer(
@@ -310,23 +257,18 @@ class ChromaticResult:
     seconds: float
 
 
-def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushy: bool):
+def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, search):
     if not 0 <= max_k <= 7:
         raise GraphError("chromatic search supports target orders 0..7 only")
     tracker = _Tracker(budget)
     for k in range(max_k + 1):
         for target in enumerate_tournaments(k):
-            if pushy:
-                res = find_push_hom(g, target, _tracker=tracker)
-                hit = res.witness
-            else:
-                res = find_hom(g, target, _tracker=tracker)
-                hit = res.mapping
+            hit = search(g, target, _tracker=tracker).hit
             if hit is not None:
                 return ChromaticResult(
                     k, target, hit, k, True, tracker.nodes, tracker.seconds
                 )
-            if not res.complete:
+            if tracker.exhausted:
                 return ChromaticResult(
                     None, None, None, k, False, tracker.nodes, tracker.seconds
                 )
@@ -339,11 +281,11 @@ def oriented_chromatic_number(
     g: OrientedGraph, max_k: int = 7, budget: SearchBudget | None = None
 ) -> ChromaticResult:
     """Smallest tournament order <= max_k admitting a homomorphism from g."""
-    return _chromatic(g, max_k, budget, pushy=False)
+    return _chromatic(g, max_k, budget, find_hom)
 
 
 def push_chromatic_number(
     g: OrientedGraph, max_k: int = 7, budget: SearchBudget | None = None
 ) -> ChromaticResult:
     """Smallest tournament order <= max_k admitting a push homomorphism from g."""
-    return _chromatic(g, max_k, budget, pushy=True)
+    return _chromatic(g, max_k, budget, find_push_hom)

@@ -1,8 +1,11 @@
 """Named verification suites replaying each structural claim at desk scale.
 
-Every suite produces machine-readable check records; a failing record always
-embeds a replayable counterexample (graphs in the text format).  The suites
-back both the CLI `verify` command and the acceptance test module.
+Every suite produces machine-readable check records.  A check ends in one of
+three outcomes: pass; fail, when it refutes a case, keeping the first
+replayable counterexample it was given (graphs in the text format); or
+exhausted-budget, when a search it needs a verdict from is truncated
+(search.require_complete).  The suites back both the CLI `verify` command and
+the acceptance test module.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .push import (
     push_orbit,
     split_graph,
 )
+from .search import InconclusiveSearch, SearchBudget, require_complete
 
 SCHEMA_VERSION = 1
 
@@ -86,30 +90,41 @@ class VerdictReport:
 
     @contextmanager
     def check(self, check_id: str):
-        """Time the block and record the verdict it passes to the yielded
-        callable; a block that raises InconclusiveSearch is recorded as
-        exhausted-budget instead, and the checks after it still run."""
-        outcome: dict = {}
-
-        def verdict(ok: bool, detail: str, **extra) -> None:
-            outcome.update(status="pass" if ok else "fail", detail=detail, **extra)
-
+        """Time the block and record the _Verdict it yields.  A block that
+        raises InconclusiveSearch is recorded as exhausted-budget, or as fail
+        if it had already refuted a case, and the checks after it still run."""
+        verdict = _Verdict()
         started = time.perf_counter()
         try:
             yield verdict
-        except coloring.InconclusiveSearch as exc:
-            outcome = {"status": "exhausted-budget", "detail": str(exc)}
+        except InconclusiveSearch as exc:
+            if verdict.status == "pass":
+                verdict.status = "exhausted-budget"
+            verdict.detail = str(exc)
         self.checks.append(
-            CheckRecord(check_id, wall_time=time.perf_counter() - started, **outcome)
+            CheckRecord(check_id, wall_time=time.perf_counter() - started, **vars(verdict))
         )
 
 
-def _complete(result):
-    """Pass a finished search result through; a budget-truncated one ends the
-    enclosing check as exhausted-budget."""
-    if not result.complete:
-        raise coloring.InconclusiveSearch(f"search truncated after {result.nodes} nodes")
-    return result
+@dataclass
+class _Verdict:
+    """One check's outcome.  refute() records a failing case; calling the
+    verdict states the detail and whether the rest of the check holds.  Any
+    refutation fails the check, which keeps the first counterexample given."""
+
+    status: str = "pass"
+    detail: str = ""
+    witness: object | None = None
+    counterexample: dict | None = None
+
+    def refute(self, counterexample: dict | None = None) -> None:
+        self.status = "fail"
+        self.counterexample = self.counterexample or counterexample
+
+    def __call__(self, ok: bool, detail: str, witness=None, counterexample=None) -> None:
+        if not ok:
+            self.refute(counterexample)
+        self.detail, self.witness = detail, witness
 
 
 @lru_cache(maxsize=None)
@@ -174,38 +189,22 @@ def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
         )
 
     with suite.check("antitwin/certificates") as verdict:
-        positives = failures = 0
-        bad = None
         for members in by_orbit.values():
             rep = graphs[members[0]]
             for idx in members:
-                cert = push_equivalent(rep, graphs[idx])
-                positives += 1
-                if cert is None:
-                    failures += 1
-                    bad = bad or {"graphs": [emit_graph(rep), emit_graph(graphs[idx])]}
+                if push_equivalent(rep, graphs[idx]) is None:
+                    verdict.refute({"graphs": [emit_graph(rep), emit_graph(graphs[idx])]})
         verdict(
-            failures == 0,
-            f"{positives} same-class pairs produced verified push/mapping certificates",
-            counterexample=bad,
+            True,
+            f"{len(graphs)} same-class pairs produced verified push/mapping certificates",
         )
 
     with suite.check("antitwin/cross-class") as verdict:
-        reps = [members[0] for members in by_orbit.values()]
-        negatives = failures = 0
-        bad = None
-        for i, j in combinations(range(len(reps)), 2):
-            negatives += 1
-            if push_equivalent(graphs[reps[i]], graphs[reps[j]]) is not None:
-                failures += 1
-                bad = bad or {
-                    "graphs": [emit_graph(graphs[reps[i]]), emit_graph(graphs[reps[j]])]
-                }
-        verdict(
-            failures == 0,
-            f"{negatives} cross-class representative pairs correctly refused",
-            counterexample=bad,
-        )
+        pairs = list(combinations([graphs[m[0]] for m in by_orbit.values()], 2))
+        for a, b in pairs:
+            if push_equivalent(a, b) is not None:
+                verdict.refute({"graphs": [emit_graph(a), emit_graph(b)]})
+        verdict(True, f"{len(pairs)} cross-class representative pairs correctly refused")
     return suite
 
 
@@ -213,27 +212,22 @@ def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
 
 
 def suite_lemma_split(
-    max_n: int = 5, max_tgt: int = 3, budget: hom.SearchBudget | None = None
+    max_n: int = 5, max_tgt: int = 3, budget: SearchBudget | None = None
 ) -> VerdictReport:
     """Hom into the anti-twinned target <=> brute force over all presentations."""
     suite = VerdictReport("lemma-split")
     with suite.check("split/reduction-vs-brute") as verdict:
         sources = _all_classes(max_n)
         targets = _all_classes(max_tgt)
-        total = mismatches = 0
-        bad = None
-        for g in sources:
-            for h in targets:
-                total += 1
-                reduced = _complete(hom.find_push_hom(g, h, budget))
-                brute = _complete(hom.brute_force_push_hom(g, h, budget))
-                if (reduced.witness is None) != (brute.witness is None):
-                    mismatches += 1
-                    bad = bad or {"graphs": [emit_graph(g), emit_graph(h)]}
+        for g, h in product(sources, targets):
+            reduced = require_complete(hom.find_push_hom(g, h, budget))
+            brute = require_complete(hom.brute_force_push_hom(g, h, budget))
+            if (reduced.witness is None) != (brute.witness is None):
+                verdict.refute({"graphs": [emit_graph(g), emit_graph(h)]})
         verdict(
-            mismatches == 0,
-            f"{total} (source, target) pairs agree (sources n <= {max_n}, targets n <= {max_tgt})",
-            counterexample=bad,
+            True,
+            f"{len(sources) * len(targets)} (source, target) pairs agree "
+            f"(sources n <= {max_n}, targets n <= {max_tgt})",
         )
     return suite
 
@@ -246,8 +240,6 @@ def suite_prop_transfer(count: int = 1000, seed: int = 0, max_n: int = 12) -> Ve
     suite = VerdictReport("prop-transfer")
     with suite.check("transfer/random") as verdict:
         rng = random.Random(seed)
-        failures = 0
-        bad = None
         for _ in range(count):
             hn = rng.randint(1, 5)
             h_arcs = []
@@ -271,17 +263,9 @@ def suite_prop_transfer(count: int = 1000, seed: int = 0, max_n: int = 12) -> Ve
             try:
                 hom.transfer(g, h, image, push_h)
             except AssertionError:
-                failures += 1
-                bad = bad or {
-                    "graphs": [emit_graph(g), emit_graph(h)],
-                    "mapping": list(image),
-                    "targetPush": push_h,
-                }
-        verdict(
-            failures == 0,
-            f"{count} random homomorphisms transferred and re-verified (seed {seed})",
-            counterexample=bad,
-        )
+                graphs = [emit_graph(g), emit_graph(h)]
+                verdict.refute({"graphs": graphs, "mapping": list(image), "targetPush": push_h})
+        verdict(True, f"{count} random homomorphisms transferred and re-verified (seed {seed})")
     return suite
 
 
@@ -308,13 +292,12 @@ def suite_outerplanar5(
     count: int = 100,
     max_n: int = 60,
     seed: int = 0,
-    budget: hom.SearchBudget | None = None,
+    budget: SearchBudget | None = None,
 ) -> VerdictReport:
     suite = VerdictReport("outerplanar5")
 
     with suite.check("outerplanar5/path-lemma-oracle") as verdict:
-        mismatches = checked = 0
-        bad = None
+        checked = 0
         for m in range(1, 7):
             for bits_mask in range(1 << m):
                 bits = tuple(bool(bits_mask >> i & 1) for i in range(m))
@@ -324,13 +307,10 @@ def suite_outerplanar5(
                         fast = coloring.path_extend_to_c3(bits, a, b) is not None
                         slow = _path_oracle(bits, a, b)
                         if fast != slow:
-                            mismatches += 1
-                            bad = bad or {"pattern": ["+" if x else "-" for x in bits], "a": a, "b": b}
-        verdict(
-            mismatches == 0,
-            f"{checked} (pattern, endpoints) cases up to length 6 agree with enumeration",
-            counterexample=bad,
-        )
+                            verdict.refute(
+                                {"pattern": ["+" if x else "-" for x in bits], "a": a, "b": b}
+                            )
+        verdict(True, f"{checked} (pattern, endpoints) cases up to length 6 agree with enumeration")
 
     with suite.check("outerplanar5/path-lemma-values") as verdict:
         stated_bad = coloring.path_extend_to_c3("+++-", 0, 0) is None
@@ -350,8 +330,7 @@ def suite_outerplanar5(
 
     with suite.check("outerplanar5/instances") as verdict:
         rng = random.Random(seed)
-        colored = failures = 0
-        bad = None
+        colored = 0
         try:
             for i in range(count):
                 n = rng.randint(5, max_n)
@@ -359,17 +338,15 @@ def suite_outerplanar5(
                 coloring.color_outerplanar_g5(g, budget)
                 colored += 1
         except coloring.CounterexampleFound as exc:
-            failures += 1
-            bad = {"graph": exc.graph_text, "detail": exc.detail}
+            verdict.refute({"graph": exc.graph_text, "detail": exc.detail})
         verdict(
-            failures == 0,
+            True,
             f"{colored} random outerplanar girth-5 instances (n <= {max_n}) received "
             "verified triangle colorings",
-            counterexample=bad,
         )
 
     with suite.check("outerplanar5/odd-cycle-floor") as verdict:
-        res = _complete(
+        res = require_complete(
             hom.push_chromatic_number(families.directed_cycle(5), max_k=2, budget=budget)
         )
         verdict(
@@ -428,7 +405,7 @@ def suite_zielonka() -> VerdictReport:
 # -- gadgets-p3 ---------------------------------------------------------------
 
 
-def suite_gadgets_p3(claim3: bool = False, budget: hom.SearchBudget | None = None) -> VerdictReport:
+def suite_gadgets_p3(claim3: bool = False, budget: SearchBudget | None = None) -> VerdictReport:
     suite = VerdictReport("gadgets-p3")
 
     with suite.check("gadgets/uc4-push-invariant") as verdict:
@@ -484,7 +461,7 @@ def suite_gadgets_p3(claim3: bool = False, budget: hom.SearchBudget | None = Non
         refused = 0
         for k in range(1, 6):
             for t in hom.enumerate_tournaments(k):
-                if _complete(hom.find_push_hom(y, t, budget)).witness is None:
+                if require_complete(hom.find_push_hom(y, t, budget)).witness is None:
                     refused += 1
                 else:
                     ok = False
@@ -497,14 +474,14 @@ def suite_gadgets_p3(claim3: bool = False, budget: hom.SearchBudget | None = Non
 
     with suite.check("gadgets/reduction-vs-brute-on-gadget") as verdict:
         y = families.y_gadget()
-        mismatches = 0
         for k in range(0, 4):
             for t in hom.enumerate_tournaments(k):
-                reduced = _complete(hom.find_push_hom(y, t, budget))
-                brute = _complete(hom.brute_force_push_hom(y, t, budget))
-                mismatches += (reduced.witness is None) != (brute.witness is None)
+                reduced = require_complete(hom.find_push_hom(y, t, budget))
+                brute = require_complete(hom.brute_force_push_hom(y, t, budget))
+                if (reduced.witness is None) != (brute.witness is None):
+                    verdict.refute()
         verdict(
-            mismatches == 0,
+            True,
             "anti-twin reduction and presentation enumeration agree on all small targets",
         )
 
@@ -602,7 +579,7 @@ def nine_tournament_constraint_search(enforce_pairs: bool = True) -> dict:
 # -- girth8 -------------------------------------------------------------------
 
 
-def suite_girth8_lower(budget: hom.SearchBudget | None = None) -> VerdictReport:
+def suite_girth8_lower(budget: SearchBudget | None = None) -> VerdictReport:
     suite = VerdictReport("girth8-lower")
     witness = families.girth8_witness()
 
@@ -614,7 +591,7 @@ def suite_girth8_lower(budget: hom.SearchBudget | None = None) -> VerdictReport:
         )
 
     with suite.check("girth8/no-triangle-coloring") as verdict:
-        res = _complete(hom.find_push_hom(witness, families.c3(), budget))
+        res = require_complete(hom.find_push_hom(witness, families.c3(), budget))
         verdict(
             res.status == "none",
             f"push-homomorphism search into the directed triangle: {res.status} "
@@ -622,7 +599,7 @@ def suite_girth8_lower(budget: hom.SearchBudget | None = None) -> VerdictReport:
         )
 
     with suite.check("girth8/nine-cycle-value") as verdict:
-        nine = _complete(
+        nine = require_complete(
             hom.push_chromatic_number(families.directed_cycle(9), max_k=3, budget=budget)
         )
         verdict(
@@ -659,25 +636,24 @@ def suite_girth8_upper(
 
     with suite.check("girth8/sparse-instances") as verdict:
         colored = 0
-        bad = None
+        # sizes spread from min(20, max_n) to max_n; the last one is max_n
+        smallest = min(20, max_n)
         try:
             for i in range(count):
-                n = 20 + (max_n - 20) * i // max(count - 1, 1)
+                n = smallest + (max_n - smallest) * i // (count - 1) if count > 1 else max_n
                 g = families.random_sparse(n, seed=seed * 104729 + i)
                 coloring.push_color_to_paley(g)
                 colored += 1
         except coloring.CounterexampleFound as exc:
-            bad = {"graph": exc.graph_text, "detail": exc.detail}
+            verdict.refute({"graph": exc.graph_text, "detail": exc.detail})
         verdict(
-            bad is None,
+            True,
             f"{colored}/{count} random sparse instances (mad < 8/3 verified, n up to "
             f"{max_n}) received end-to-end verified colorings",
-            counterexample=bad,
         )
 
     with suite.check("girth8/discharge-contrapositive") as verdict:
-        examined = failures = 0
-        bad = None
+        examined = 0
         rng = random.Random(seed + 1)
         corpus = _config_free_corpus(rng)
         for g in corpus:
@@ -687,13 +663,11 @@ def suite_girth8_upper(
             audit = coloring.discharge_audit(g)
             mad = max_average_degree(g)
             if not audit.meets_eight_thirds or mad < Fraction(8, 3):
-                failures += 1
-                bad = bad or {"graph": emit_graph(g)}
+                verdict.refute({"graph": emit_graph(g)})
         verdict(
-            failures == 0 and examined >= 10,
+            examined >= 10,
             f"{examined} configuration-free graphs all have min modified degree >= 8/3 "
             "and mad >= 8/3",
-            counterexample=bad,
         )
     return suite
 
@@ -725,38 +699,28 @@ def _config_free_corpus(rng: random.Random) -> list[OrientedGraph]:
 # -- sandwich and tournament3 --------------------------------------------------
 
 
-def suite_sandwich(max_n: int = 5, budget: hom.SearchBudget | None = None) -> VerdictReport:
+def suite_sandwich(max_n: int = 5, budget: SearchBudget | None = None) -> VerdictReport:
     """Push chromatic <= oriented chromatic <= twice push chromatic, exhaustively."""
     suite = VerdictReport("sandwich")
     with suite.check("sandwich/exhaustive") as verdict:
         graphs = _all_classes(max_n)
-        checked = failures = 0
-        bad = None
+        checked = 0
         for g in graphs:
             if g.n == 0:
                 continue
-            pushy = _complete(hom.push_chromatic_number(g, max_k=min(g.n, 7), budget=budget))
-            ordinary = _complete(
-                hom.oriented_chromatic_number(g, max_k=min(g.n, 7), budget=budget)
-            )
+            k = min(g.n, 7)
+            pushy = require_complete(hom.push_chromatic_number(g, max_k=k, budget=budget))
+            ordinary = require_complete(hom.oriented_chromatic_number(g, max_k=k, budget=budget))
             checked += 1
-            ok = (
+            if not (
                 pushy.value is not None
                 and ordinary.value is not None
                 and pushy.value <= ordinary.value <= 2 * pushy.value
-            )
-            if not ok:
-                failures += 1
-                bad = bad or {
-                    "graph": emit_graph(g),
-                    "push": pushy.value,
-                    "oriented": ordinary.value,
-                }
-        verdict(
-            failures == 0,
-            f"{checked} oriented graphs with n <= {max_n} satisfy the sandwich bounds",
-            counterexample=bad,
-        )
+            ):
+                verdict.refute(
+                    {"graph": emit_graph(g), "push": pushy.value, "oriented": ordinary.value}
+                )
+        verdict(True, f"{checked} oriented graphs with n <= {max_n} satisfy the sandwich bounds")
     return suite
 
 

@@ -133,6 +133,21 @@ def test_chroma_values(tmp_path, capsys):
     assert json.loads(out)["value"] == 3
 
 
+def test_chroma_budget_exhaustion_exits_3(tmp_path, capsys):
+    from pushgraph.families import girth8_witness
+
+    path = tmp_path / "witness.graph"
+    path.write_text(emit_graph(girth8_witness()))
+    code, out, _ = run_cli(
+        capsys, "chroma", "push", str(path), "--max-k", "3", "--budget-nodes", "5"
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["complete"] is False
+    assert payload["value"] is None
+    assert payload["lowerBound"] == 3
+
+
 def test_color_sparse_and_audit(tmp_path, capsys):
     path = tmp_path / "c9.graph"
     path.write_text(emit_graph(directed_cycle(9)))
@@ -156,6 +171,16 @@ def test_color_outerplanar(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "color", "outerplanar5", str(path))
     assert code == 0
     assert json.loads(out)["status"] == "found"
+
+
+def test_color_outerplanar_budget_exhaustion_exits_3(tmp_path, capsys):
+    path = tmp_path / "outer.graph"
+    path.write_text(emit_graph(random_outerplanar(30, 5, seed=4)))
+    code, out, _ = run_cli(capsys, "color", "outerplanar5", str(path), "--budget-nodes", "1")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["status"] == "budget-exhausted"
+    assert "witness" not in payload
 
 
 def test_color_outerplanar5_beyond_the_recursion_limit(tmp_path, capsys):

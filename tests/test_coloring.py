@@ -7,7 +7,9 @@ import pytest
 from pushgraph import (
     ConfigKind,
     GraphError,
+    InconclusiveSearch,
     OrientedGraph,
+    SearchBudget,
     build_extension_tables,
     color_outerplanar_g5,
     discharge_audit,
@@ -225,6 +227,11 @@ def test_color_outerplanar_instances():
         g = random_outerplanar(100, 5, seed=i)
         cert = color_outerplanar_g5(g)
         assert cert.target == c3()
+
+
+def test_color_outerplanar_budget_exhaustion_raises():
+    with pytest.raises(InconclusiveSearch):
+        color_outerplanar_g5(random_outerplanar(30, 5, seed=4), SearchBudget(max_nodes=1))
 
 
 def test_color_outerplanar_triangle_itself():

@@ -1,13 +1,18 @@
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pushgraph
 
 # the package re-exports the function push, which shadows the submodule name
+coloring = importlib.import_module("pushgraph.coloring")
 hom = importlib.import_module("pushgraph.hom")
 push = importlib.import_module("pushgraph.push")
+search = importlib.import_module("pushgraph.search")
 PACKAGE = Path(pushgraph.__file__).parent
+BENCH_TRACING = PACKAGE.parents[1] / "bench" / "tracing.py"
 
 
 def _relative_imports(tree):
@@ -46,6 +51,32 @@ def test_module_import_graph_is_acyclic():
 def test_one_push_witness_type_and_fold():
     assert hom.PushHomWitness is push.PushHomWitness
     assert hom.fold_to_push_witness is push.fold_to_push_witness
+
+
+def test_search_contract_lives_in_one_leaf_module():
+    tree = ast.parse((PACKAGE / "search.py").read_text())
+    assert set(_relative_imports(tree)) == {"graph"}
+    contract = {"SearchBudget", "_Tracker", "InconclusiveSearch", "_SearchStatus", "require_complete"}
+    defined: dict[str, list[str]] = {name: [] for name in contract}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in contract:
+                defined[node.name].append(path.stem)
+    assert defined == {name: ["search"] for name in contract}
+    assert pushgraph.SearchBudget is hom.SearchBudget is search.SearchBudget
+    assert pushgraph.InconclusiveSearch is coloring.InconclusiveSearch is search.InconclusiveSearch
+
+
+def test_bench_tracer_layers_resolve(monkeypatch):
+    # loaded from its file without writing bytecode next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.LAYERS.items():
+        program = importlib.import_module(f"pushgraph.{module}")
+        missing = [name for name in names if not hasattr(program, name)]
+        assert not missing, f"pushgraph.{module} lacks {missing}"
 
 
 def _calls_itself(func) -> bool:

@@ -1,11 +1,21 @@
+import hashlib
+import importlib
+import json
+
 import pytest
 
+from pushgraph.search import SearchBudget
 from pushgraph.verify import (
     SUITES,
     enumerate_oriented_graphs,
     nine_tournament_constraint_search,
     run_suite,
 )
+
+coloring = importlib.import_module("pushgraph.coloring")
+families = importlib.import_module("pushgraph.families")
+hom = importlib.import_module("pushgraph.hom")
+verify = importlib.import_module("pushgraph.verify")
 
 
 def test_enumeration_matches_known_counts():
@@ -77,6 +87,22 @@ def test_small_girth8_upper_suite_passes():
     assert details["girth8/sparse-instances"].startswith("0/0 random sparse instances")
 
 
+@pytest.mark.parametrize("count, max_n", [(1, 200), (5, 5), (4, 60)])
+def test_girth8_upper_sizes_end_at_max_n(monkeypatch, count, max_n):
+    drawn = []
+    random_sparse = families.random_sparse
+
+    def recording(n, seed=0):
+        drawn.append(n)
+        return random_sparse(n, seed)
+
+    monkeypatch.setattr(families, "random_sparse", recording)
+    assert run_suite("girth8-upper", count=count, max_n=max_n).all_pass
+    assert len(drawn) == count
+    assert max(drawn) == max_n
+    assert all(n <= max_n for n in drawn)
+
+
 def test_small_sandwich_suite_passes():
     report = run_suite("sandwich", max_n=4)
     assert report.all_pass
@@ -97,3 +123,101 @@ def test_nine_tournament_search_empty_but_not_vacuous():
     relaxed = nine_tournament_constraint_search(enforce_pairs=False)
     assert constrained["survivors"] == 0
     assert relaxed["survivors"] > 0
+
+
+def _counterexample_found(*args, **kwargs):
+    raise coloring.CounterexampleFound("injected fault", "oriented 1\n")
+
+
+def _assertion_error(*args, **kwargs):
+    raise AssertionError("injected fault")
+
+
+def _finds_nothing(g, h, budget=None):
+    return hom.PushHomResult(None, True, 0, 0.0)
+
+
+def _finds_everything(g, h, budget=None):
+    return hom.PushHomResult("injected witness", True, 0, 0.0)
+
+
+def _no_value(g, max_k=7, budget=None):
+    return hom.ChromaticResult(None, None, None, max_k + 1, True, 0, 0.0)
+
+
+# suite, options, (module, name, replacement) faults, the checks they break,
+# and the SHA-256 of the report with wallTime masked
+FAULTS = {
+    "certificates": (
+        "theorem-antitwin", {"max_n": 3}, [(verify, "push_equivalent", lambda g, h: None)],
+        {"antitwin/certificates"},
+        "f2982946058fd21c15e0e8c40612f412c30b924df29958061a62e19d7d298f02",
+    ),
+    "cross-class": (
+        "theorem-antitwin", {"max_n": 3}, [(verify, "push_equivalent", lambda g, h: True)],
+        {"antitwin/cross-class"},
+        "fb9eee5e7ce6e3f569fd3ed96fd606cbf7bb5f9a48b780c98453bd570baab81d",
+    ),
+    "transfer": (
+        "prop-transfer", {"count": 20, "seed": 1}, [(hom, "transfer", _assertion_error)],
+        {"transfer/random"},
+        "bf22f9a4c265cc66203856c22f6b78bcd32b5bb367883d2c44194556cbfb9328",
+    ),
+    "split": (
+        "lemma-split", {"max_n": 3, "max_tgt": 2}, [(hom, "brute_force_push_hom", _finds_nothing)],
+        {"split/reduction-vs-brute"},
+        "a4ecb0fccc8e52a7e15ba15a7429833f649cefc02e1eec1273b002c5a1b2e34c",
+    ),
+    "gadget": (
+        "gadgets-p3", {}, [(hom, "brute_force_push_hom", _finds_everything)],
+        {"gadgets/reduction-vs-brute-on-gadget"},
+        "a0c18ad4799c96c4ada8b0a2bd35b6775a16b28db039c58602d719c394ae5301",
+    ),
+    "outerplanar5": (
+        "outerplanar5",
+        {"count": 3, "max_n": 12},
+        [
+            (coloring, "path_extend_to_c3", lambda bits, a, b: None),
+            (coloring, "color_outerplanar_g5", _counterexample_found),
+        ],
+        {"outerplanar5/path-lemma-oracle", "outerplanar5/path-lemma-values", "outerplanar5/instances"},
+        "5b916aa50a36a3e0bb164ee1689297e20363071e8f222acd4a6aca3419845f3e",
+    ),
+    "girth8-upper": (
+        "girth8-upper",
+        {"count": 3, "max_n": 40},
+        [
+            (coloring, "push_color_to_paley", _counterexample_found),
+            (verify, "max_average_degree", lambda g: 0),
+        ],
+        {"girth8/sparse-instances", "girth8/discharge-contrapositive"},
+        "a32c5a83a3606431c67553673c86442a961616d68729ff90a5b1c0e97aee53e1",
+    ),
+    "sandwich": (
+        "sandwich", {"max_n": 3}, [(hom, "oriented_chromatic_number", _no_value)],
+        {"sandwich/exhaustive"},
+        "0e1a8682591195ae64a7a58bcbcb8feca97bab85bd699e7503b602e5d0974486",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAULTS)
+def test_injected_faults_fail_their_checks(monkeypatch, case):
+    suite, options, faults, broken, digest = FAULTS[case]
+    for module, name, replacement in faults:
+        monkeypatch.setattr(module, name, replacement)
+    payload = run_suite(suite, **options).to_json()
+    assert {c["id"] for c in payload["checks"] if c["status"] == "fail"} == broken
+    for check in payload["checks"]:
+        check.pop("wallTime")
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_refutation_survives_a_later_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(hom, "brute_force_push_hom", _finds_nothing)
+    report = run_suite("lemma-split", max_n=3, max_tgt=2, budget=SearchBudget(max_nodes=3))
+    (check,) = report.to_json()["checks"]
+    assert check["status"] == "fail"
+    assert check["detail"].startswith("search truncated after")
+    assert check["counterexample"] == {"graphs": ["oriented 0\n", "oriented 0\n"]}
