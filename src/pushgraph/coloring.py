@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import product
 
 from .density import mad_less_than
@@ -109,52 +110,79 @@ class ConfigDescriptor:
     senses: tuple[int, ...]
 
 
-def _find_config(adj: dict[int, set[int]], sense) -> ConfigDescriptor | None:
-    for v in sorted(adj):
-        if len(adj[v]) <= 1:
-            if not adj[v]:
-                return ConfigDescriptor(ConfigKind.DEGREE_AT_MOST_ONE, (v,), (), ())
-            u = next(iter(adj[v]))
-            return ConfigDescriptor(
-                ConfigKind.DEGREE_AT_MOST_ONE, (v,), (u,), (sense(u, v),)
+def _reductions(g: OrientedGraph):
+    """Yield reducible configurations of g, first by kind and then by
+    smallest vertex id, deleting each one's squares before the next; stop
+    when no vertex or no configuration is left.
+
+    A min-heap of (kind, vertex) holds every vertex that may centre a
+    configuration of kind k: degree k + 1 and at least k neighbours of
+    degree 2.  The top is re-tested before it is trusted.  A deletion can
+    change the test only for the neighbours of the deleted vertices, and for
+    their neighbours where one is left with degree 2; only those are offered
+    again.
+    """
+    arcs = set(g.arcs)
+    sense = lambda a, b: 1 if (a, b) in arcs else 0
+    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+
+    def centres(k: int, v: int) -> bool:
+        degree = len(adj[v])
+        if k == 0:
+            return degree <= 1
+        return degree == k + 1 and sum(len(adj[w]) == 2 for w in adj[v]) >= k
+
+    heap = [(k, v) for k in range(3) for v in sorted(adj) if centres(k, v)]
+    while adj:
+        while heap and not (heap[0][1] in adj and centres(*heap[0])):
+            heappop(heap)
+        if not heap:
+            return
+        k, v = heap[0]
+        if k == 0:
+            anchors = tuple(adj[v])
+            cfg = ConfigDescriptor(
+                ConfigKind.DEGREE_AT_MOST_ONE, (v,), anchors, tuple(sense(u, v) for u in anchors)
             )
-    for s1 in sorted(adj):
-        if len(adj[s1]) != 2:
-            continue
-        for s2 in sorted(adj[s1]):
-            if len(adj[s2]) != 2:
-                continue
+        elif k == 1:
+            s1, s2 = v, min(w for w in adj[v] if len(adj[w]) == 2)
             u1 = next(iter(adj[s1] - {s2}))
             u2 = next(iter(adj[s2] - {s1}))
-            return ConfigDescriptor(
+            cfg = ConfigDescriptor(
                 ConfigKind.ADJACENT_DEGREE_TWO_PAIR,
                 (s1, s2),
                 (u1, u2),
                 (sense(u1, s1), sense(s1, s2), sense(s2, u2)),
             )
-    for v3 in sorted(adj):
-        if len(adj[v3]) != 3:
-            continue
-        degree_two = sorted(w for w in adj[v3] if len(adj[w]) == 2)
-        if len(degree_two) < 2:
-            continue
-        v1, v2 = degree_two[:2]
-        u3 = min(adj[v3] - {v1, v2})
-        u1 = next(iter(adj[v1] - {v3}))
-        u2 = next(iter(adj[v2] - {v3}))
-        return ConfigDescriptor(
-            ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO,
-            (v1, v2, v3),
-            (u1, u2, u3),
-            (
-                sense(u1, v1),
-                sense(v1, v3),
-                sense(u2, v2),
-                sense(v2, v3),
-                sense(u3, v3),
-            ),
-        )
-    return None
+        else:
+            v3 = v
+            v1, v2 = sorted(w for w in adj[v3] if len(adj[w]) == 2)[:2]
+            u3 = min(adj[v3] - {v1, v2})
+            u1 = next(iter(adj[v1] - {v3}))
+            u2 = next(iter(adj[v2] - {v3}))
+            cfg = ConfigDescriptor(
+                ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO,
+                (v1, v2, v3),
+                (u1, u2, u3),
+                (
+                    sense(u1, v1),
+                    sense(v1, v3),
+                    sense(u2, v2),
+                    sense(v2, v3),
+                    sense(u3, v3),
+                ),
+            )
+        yield cfg
+        touched = set()
+        for v in cfg.squares:
+            for w in adj.pop(v):
+                adj[w].discard(v)
+                touched.add(w)
+        for w in touched & adj.keys():
+            for x in (w, *adj[w]) if len(adj[w]) == 2 else (w,):
+                for k in range(3):
+                    if centres(k, x):
+                        heappush(heap, (k, x))
 
 
 def find_reducible_config(g: OrientedGraph) -> ConfigDescriptor | None:
@@ -163,9 +191,7 @@ def find_reducible_config(g: OrientedGraph) -> ConfigDescriptor | None:
     Never returns None on a non-empty graph with mad below 8/3; a None there
     would refute the discharging argument.
     """
-    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
-    arcs = set(g.arcs)
-    return _find_config(adj, lambda a, b: 1 if (a, b) in arcs else 0)
+    return next(_reductions(g), None)
 
 
 @dataclass(frozen=True)
@@ -325,22 +351,12 @@ def push_color_to_paley(g: OrientedGraph) -> ColoringCertificate:
     if not mad_less_than(g, Fraction(8, 3)):
         raise GraphError("push_color_to_paley requires maximum average degree below 8/3")
     tables = build_extension_tables()
-    arcs = set(g.arcs)
-    sense = lambda a, b: 1 if (a, b) in arcs else 0
-    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
-    trace: list[ConfigDescriptor] = []
-    while adj:
-        cfg = _find_config(adj, sense)
-        if cfg is None:
-            raise CounterexampleFound(
-                "a non-empty graph with mad below 8/3 contains no reducible configuration",
-                emit_graph(g),
-            )
-        trace.append(cfg)
-        for v in cfg.squares:
-            for w in adj[v]:
-                adj[w].discard(v)
-            del adj[v]
+    trace = list(_reductions(g))
+    if sum(len(cfg.squares) for cfg in trace) < g.n:
+        raise CounterexampleFound(
+            "a non-empty graph with mad below 8/3 contains no reducible configuration",
+            emit_graph(g),
+        )
     colors: dict[int, int] = {}
     pushes: dict[int, int] = {}
     for cfg in reversed(trace):

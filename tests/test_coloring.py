@@ -21,7 +21,7 @@ from pushgraph import (
     push_chromatic_number,
     two_step_neighborhoods,
 )
-from pushgraph.coloring import _EXPECTED_TABLES_SHA256
+from pushgraph.coloring import _EXPECTED_TABLES_SHA256, _reductions
 from pushgraph.families import (
     c3,
     directed_cycle,
@@ -139,6 +139,28 @@ def test_config_priority_order():
 def test_config_absent_on_dense_graphs():
     for t in enumerate_tournaments(4):
         assert find_reducible_config(t) is None
+
+
+def test_reductions_match_a_fresh_scan_after_every_deletion():
+    # the incremental heap must pick what a scan of the remaining graph picks;
+    # induced() renumbers in sorted order, so "smallest id" is kept
+    spider = OrientedGraph(
+        1 + 3 * 40,
+        tuple((0, 1 + 3 * i) for i in range(40))
+        + tuple((1 + 3 * i + j, 2 + 3 * i + j) for i in range(40) for j in range(2)),
+    )
+    graphs = [spider, girth8_witness()]
+    graphs += [random_sparse(n, seed) for n, seed in ((60, 1), (200, 2), (500, 3))]
+    graphs += [random_outerplanar(n, 5, seed) for n, seed in ((40, 4), (120, 5))]
+    for g in graphs:
+        left = list(range(g.n))
+        for cfg in _reductions(g):
+            fresh = find_reducible_config(g.induced(left)[0])
+            assert cfg.kind is fresh.kind and cfg.senses == fresh.senses
+            assert cfg.squares == tuple(left[v] for v in fresh.squares)
+            assert cfg.anchors == tuple(left[v] for v in fresh.anchors)
+            left = [v for v in left if v not in cfg.squares]
+        assert not left or find_reducible_config(g.induced(left)[0]) is None
 
 
 def test_discharge_stated_cases():
