@@ -5,8 +5,10 @@ directed triangle (the outerplanar girth-5 machinery), and a reduce/extend
 colorer into the apex-triangle target for graphs whose maximum average degree
 is below 8/3.  The reducible configurations are (i) a vertex of degree at
 most one, (ii) two adjacent degree-2 vertices, (iii) a degree-3 vertex with
-two degree-2 neighbors; extensions for (ii) and (iii) come from exhaustively
-enumerated tables whose completeness is asserted when they are built.
+two degree-2 neighbors.  _SHAPES states each configuration's deleted arcs
+once; it orders the senses of a located configuration and the keys into the
+exhaustively enumerated extension tables for (ii) and (iii), whose
+completeness is asserted when they are built.
 """
 
 from __future__ import annotations
@@ -94,14 +96,22 @@ class ConfigKind(Enum):
     DEGREE_THREE_TWO_DEGREE_TWO = "degree-three-with-two-degree-two-neighbors"
 
 
+# each kind's deleted arcs as (tail, head) positions in anchors + squares, in
+# the order of ConfigDescriptor.senses and of the extension-table keys
+_SHAPES = {
+    ConfigKind.DEGREE_AT_MOST_ONE: ((0, 1),),
+    ConfigKind.ADJACENT_DEGREE_TWO_PAIR: ((0, 2), (2, 3), (3, 1)),
+    ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO: ((0, 3), (3, 5), (1, 4), (4, 5), (2, 5)),
+}
+
+
 @dataclass(frozen=True)
 class ConfigDescriptor:
     """A located reducible configuration.
 
     squares are the prescribed-degree vertices the reduction deletes; anchors
-    are their remaining neighbors in role order; senses record the original
-    orientations of the deleted arcs (see the per-kind key layout in
-    _extend).
+    are their remaining neighbors in role order; senses[i] is 1 when the i-th
+    arc of the kind's _SHAPES entry is oriented tail to head in the graph.
     """
 
     kind: ConfigKind
@@ -123,8 +133,10 @@ def _reductions(g: OrientedGraph):
     again.
     """
     arcs = set(g.arcs)
-    sense = lambda a, b: 1 if (a, b) in arcs else 0
-    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+    adj = {v: set() for v in range(g.n)}
+    for a, b in arcs:
+        adj[a].add(b)
+        adj[b].add(a)
 
     def centres(k: int, v: int) -> bool:
         degree = len(adj[v])
@@ -132,6 +144,7 @@ def _reductions(g: OrientedGraph):
             return degree <= 1
         return degree == k + 1 and sum(len(adj[w]) == 2 for w in adj[v]) >= k
 
+    kinds = list(ConfigKind)
     heap = [(k, v) for k in range(3) for v in sorted(adj) if centres(k, v)]
     while adj:
         while heap and not (heap[0][1] in adj and centres(*heap[0])):
@@ -140,41 +153,22 @@ def _reductions(g: OrientedGraph):
             return
         k, v = heap[0]
         if k == 0:
-            anchors = tuple(adj[v])
-            cfg = ConfigDescriptor(
-                ConfigKind.DEGREE_AT_MOST_ONE, (v,), anchors, tuple(sense(u, v) for u in anchors)
-            )
+            squares, anchors = (v,), tuple(adj[v])
         elif k == 1:
-            s1, s2 = v, min(w for w in adj[v] if len(adj[w]) == 2)
-            u1 = next(iter(adj[s1] - {s2}))
-            u2 = next(iter(adj[s2] - {s1}))
-            cfg = ConfigDescriptor(
-                ConfigKind.ADJACENT_DEGREE_TWO_PAIR,
-                (s1, s2),
-                (u1, u2),
-                (sense(u1, s1), sense(s1, s2), sense(s2, u2)),
-            )
+            s2 = min(w for w in adj[v] if len(adj[w]) == 2)
+            squares, anchors = (v, s2), (next(iter(adj[v] - {s2})), next(iter(adj[s2] - {v})))
         else:
-            v3 = v
-            v1, v2 = sorted(w for w in adj[v3] if len(adj[w]) == 2)[:2]
-            u3 = min(adj[v3] - {v1, v2})
-            u1 = next(iter(adj[v1] - {v3}))
-            u2 = next(iter(adj[v2] - {v3}))
-            cfg = ConfigDescriptor(
-                ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO,
-                (v1, v2, v3),
-                (u1, u2, u3),
-                (
-                    sense(u1, v1),
-                    sense(v1, v3),
-                    sense(u2, v2),
-                    sense(v2, v3),
-                    sense(u3, v3),
-                ),
-            )
-        yield cfg
+            v1, v2 = sorted(w for w in adj[v] if len(adj[w]) == 2)[:2]
+            squares = (v1, v2, v)
+            anchors = (next(iter(adj[v1] - {v})), next(iter(adj[v2] - {v})), min(adj[v] - {v1, v2}))
+        points = anchors + squares
+        # a lone vertex of kind (i) has no anchor, so no arc of its shape
+        senses = tuple(
+            int((points[a], points[b]) in arcs) for a, b in _SHAPES[kinds[k]] if b < len(points)
+        )
+        yield ConfigDescriptor(kinds[k], squares, anchors, senses)
         touched = set()
-        for v in cfg.squares:
+        for v in squares:
             for w in adj.pop(v):
                 adj[w].discard(v)
                 touched.add(w)
@@ -381,35 +375,16 @@ def _extend(cfg, colors, pushes, tables, target) -> None:
                     colors[v], pushes[v] = col, p
                     return
         raise AssertionError("degree-one extension must always succeed")
-    if cfg.kind is ConfigKind.ADJACENT_DEGREE_TWO_PAIR:
-        s1, s2 = cfg.squares
-        u1, u2 = cfg.anchors
-        key = (
-            colors[u1],
-            colors[u2],
-            cfg.senses[0] ^ pushes[u1],
-            cfg.senses[1],
-            cfg.senses[2] ^ pushes[u2],
-        )
-        p1, p2, g1, g2 = tables.chain[key]
-        pushes[s1], pushes[s2] = p1, p2
-        colors[s1], colors[s2] = g1, g2
-        return
-    v1, v2, v3 = cfg.squares
-    u1, u2, u3 = cfg.anchors
-    key = (
-        colors[u1],
-        colors[u2],
-        colors[u3],
-        cfg.senses[0] ^ pushes[u1],
-        cfg.senses[1],
-        cfg.senses[2] ^ pushes[u2],
-        cfg.senses[3],
-        cfg.senses[4] ^ pushes[u3],
+    # key: anchor colours, then each sense XOR the pushes of its anchor ends;
+    # the squares' pushes are the table's answer, so they count as 0 here
+    anchor_pushes = [pushes[u] for u in cfg.anchors] + [0] * len(cfg.squares)
+    key = tuple(colors[u] for u in cfg.anchors) + tuple(
+        s ^ anchor_pushes[a] ^ anchor_pushes[b] for s, (a, b) in zip(cfg.senses, _SHAPES[cfg.kind])
     )
-    p1, p2, p3, g1, g2, g3 = tables.branch[key]
-    pushes[v1], pushes[v2], pushes[v3] = p1, p2, p3
-    colors[v1], colors[v2], colors[v3] = g1, g2, g3
+    table = tables.chain if cfg.kind is ConfigKind.ADJACENT_DEGREE_TWO_PAIR else tables.branch
+    hit = table[key]
+    for i, v in enumerate(cfg.squares):
+        pushes[v], colors[v] = hit[i], hit[len(cfg.squares) + i]
 
 
 def color_outerplanar_g5(

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from . import coloring, families, hom
 from .density import max_average_degree
@@ -313,17 +313,18 @@ def suite_outerplanar5(
         verdict(True, f"{checked} (pattern, endpoints) cases up to length 6 agree with enumeration")
 
     with suite.check("outerplanar5/path-lemma-values") as verdict:
-        stated_bad = coloring.path_extend_to_c3("+++-", 0, 0) is None
-        stated_good = all(
-            coloring.path_extend_to_c3(tuple(bool(mask >> i & 1) for i in range(4)), a, b)
-            is not None
+        # (pattern, a, b, feasible): '+++-' with equal ends, then every length-4
+        # pattern with distinct ends
+        stated = [("+++-", 0, 0, False)] + [
+            ("".join("+" if mask >> i & 1 else "-" for i in range(4)), a, b, True)
             for mask in range(16)
-            for a in range(3)
-            for b in range(3)
-            if a != b
-        )
+            for a, b in permutations(range(3), 2)
+        ]
+        for pattern, a, b, feasible in stated:
+            if (coloring.path_extend_to_c3(pattern, a, b) is not None) != feasible:
+                verdict.refute({"pattern": list(pattern), "a": a, "b": b})
         verdict(
-            stated_bad and stated_good,
+            True,
             "'+++-' with equal endpoints infeasible; every length-4 pattern with "
             "distinct endpoints feasible",
         )
@@ -479,7 +480,7 @@ def suite_gadgets_p3(claim3: bool = False, budget: SearchBudget | None = None) -
                 reduced = require_complete(hom.find_push_hom(y, t, budget))
                 brute = require_complete(hom.brute_force_push_hom(y, t, budget))
                 if (reduced.witness is None) != (brute.witness is None):
-                    verdict.refute()
+                    verdict.refute({"graphs": [emit_graph(y), emit_graph(t)]})
         verdict(
             True,
             "anti-twin reduction and presentation enumeration agree on all small targets",

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -21,7 +22,7 @@ from pushgraph import (
     push_chromatic_number,
     two_step_neighborhoods,
 )
-from pushgraph.coloring import _EXPECTED_TABLES_SHA256, _reductions
+from pushgraph.coloring import _EXPECTED_TABLES_SHA256, _SHAPES, _arc_ok, _reductions
 from pushgraph.families import (
     c3,
     directed_cycle,
@@ -141,15 +142,18 @@ def test_config_absent_on_dense_graphs():
         assert find_reducible_config(t) is None
 
 
+# a hub with 40 legs of three vertices: kind (i) leaves, then pairs, then the hub
+SPIDER = OrientedGraph(
+    1 + 3 * 40,
+    tuple((0, 1 + 3 * i) for i in range(40))
+    + tuple((1 + 3 * i + j, 2 + 3 * i + j) for i in range(40) for j in range(2)),
+)
+
+
 def test_reductions_match_a_fresh_scan_after_every_deletion():
     # the incremental heap must pick what a scan of the remaining graph picks;
     # induced() renumbers in sorted order, so "smallest id" is kept
-    spider = OrientedGraph(
-        1 + 3 * 40,
-        tuple((0, 1 + 3 * i) for i in range(40))
-        + tuple((1 + 3 * i + j, 2 + 3 * i + j) for i in range(40) for j in range(2)),
-    )
-    graphs = [spider, girth8_witness()]
+    graphs = [SPIDER, girth8_witness()]
     graphs += [random_sparse(n, seed) for n, seed in ((60, 1), (200, 2), (500, 3))]
     graphs += [random_outerplanar(n, 5, seed) for n, seed in ((40, 4), (120, 5))]
     for g in graphs:
@@ -161,6 +165,20 @@ def test_reductions_match_a_fresh_scan_after_every_deletion():
             assert cfg.anchors == tuple(left[v] for v in fresh.anchors)
             left = [v for v in left if v not in cfg.squares]
         assert not left or find_reducible_config(g.induced(left)[0]) is None
+
+
+def test_colourings_match_pinned_digest():
+    # witnesses and full traces of the reduce/extend colourer, pinned so that a
+    # refactor of the reductions or the extension step cannot move them
+    graphs = [random_sparse(n, s) for n in (9, 40, 300, 556, 1000, 2000) for s in range(3)]
+    results = []
+    for g in graphs + [SPIDER, girth8_witness()]:
+        cert = push_color_to_paley(g)
+        trace = [(c.kind.value, c.squares, c.anchors, c.senses) for c in cert.trace]
+        results.append((sorted(cert.witness.push_vector), cert.witness.mapping, trace))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+        "0849925f112f5673fcda3ca8b08aafbca25cca575d7855d5c315608f21b9fc21"
+    )
 
 
 def test_discharge_stated_cases():
@@ -209,6 +227,24 @@ def test_extension_tables_complete_and_pinned():
     assert len(tables.branch) == 4 * 4 * 4 * 32
     assert tables.c3_length4_distinct_ends_complete
     assert tables.sha256 == _EXPECTED_TABLES_SHA256
+
+
+def test_shapes_agree_with_extension_tables():
+    # the tables' searches state each shape a second time; every entry must
+    # satisfy every arc of the kind's _SHAPES entry under the key's senses
+    tables = build_extension_tables()
+    target = paley_plus()
+    for kind, table in (
+        (ConfigKind.ADJACENT_DEGREE_TWO_PAIR, tables.chain),
+        (ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO, tables.branch),
+    ):
+        shape = _SHAPES[kind]
+        for key, hit in table.items():
+            anchors, squares = len(key) - len(shape), len(hit) // 2
+            colours = key[:anchors] + hit[squares:]
+            pushed = (0,) * anchors + hit[:squares]
+            for (a, b), sense in zip(shape, key[anchors:]):
+                assert _arc_ok(target, colours[a], colours[b], sense ^ pushed[a] ^ pushed[b])
 
 
 def test_color_directed_nine_cycle():

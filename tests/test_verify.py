@@ -171,7 +171,7 @@ FAULTS = {
     "gadget": (
         "gadgets-p3", {}, [(hom, "brute_force_push_hom", _finds_everything)],
         {"gadgets/reduction-vs-brute-on-gadget"},
-        "a0c18ad4799c96c4ada8b0a2bd35b6775a16b28db039c58602d719c394ae5301",
+        "cd7a57515ef5891114841e60df7580cb4f2ecc3de19cc937edf97f1307e36c61",
     ),
     "outerplanar5": (
         "outerplanar5",
@@ -181,7 +181,7 @@ FAULTS = {
             (coloring, "color_outerplanar_g5", _counterexample_found),
         ],
         {"outerplanar5/path-lemma-oracle", "outerplanar5/path-lemma-values", "outerplanar5/instances"},
-        "5b916aa50a36a3e0bb164ee1689297e20363071e8f222acd4a6aca3419845f3e",
+        "d842e2517cc94ca43ad82bdaa09be86213653aee015b2d319d0b101816bb16f3",
     ),
     "girth8-upper": (
         "girth8-upper",
@@ -207,7 +207,10 @@ def test_injected_faults_fail_their_checks(monkeypatch, case):
     for module, name, replacement in faults:
         monkeypatch.setattr(module, name, replacement)
     payload = run_suite(suite, **options).to_json()
-    assert {c["id"] for c in payload["checks"] if c["status"] == "fail"} == broken
+    failed = [c for c in payload["checks"] if c["status"] == "fail"]
+    assert {c["id"] for c in failed} == broken
+    # every failing check keeps a case that can be replayed
+    assert all("counterexample" in c for c in failed)
     for check in payload["checks"]:
         check.pop("wallTime")
     text = json.dumps(payload, sort_keys=True)
