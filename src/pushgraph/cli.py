@@ -239,7 +239,6 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "count": args.count,
         "budget": _budget(args),
-        "claim3": args.claim3,
     }
     try:
         report = verify.run_suite(args.suite, **options)
@@ -321,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help=f"one of: {', '.join(verify.SUITES)}")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
-    p.add_argument("--claim3", action="store_true", help="include the slow 9-vertex tournament search")
     common(p, seed=True)
     p.set_defaults(func=cmd_verify)
 

@@ -133,10 +133,7 @@ def _reductions(g: OrientedGraph):
     again.
     """
     arcs = set(g.arcs)
-    adj = {v: set() for v in range(g.n)}
-    for a, b in arcs:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = {v: set(nbrs) for v, nbrs in enumerate(g.adjacency)}
 
     def centres(k: int, v: int) -> bool:
         degree = len(adj[v])
@@ -205,14 +202,15 @@ class DischargeReport:
 def discharge_audit(g: OrientedGraph) -> DischargeReport:
     """Apply the transfer rule (degree >= 3 gives 1/3 to each degree-2
     neighbor) and report every vertex's resulting charge."""
-    degrees = [g.degree(v) for v in range(g.n)]
+    adj = g.adjacency
+    degrees = [len(nbrs) for nbrs in adj]
     rows = []
-    for v in range(g.n):
+    for v, nbrs in enumerate(adj):
         charge = Fraction(degrees[v])
         if degrees[v] >= 3:
-            charge -= Fraction(1, 3) * sum(1 for w in g.neighbors(v) if degrees[w] == 2)
+            charge -= Fraction(1, 3) * sum(1 for w in nbrs if degrees[w] == 2)
         if degrees[v] == 2:
-            charge += Fraction(1, 3) * sum(1 for w in g.neighbors(v) if degrees[w] >= 3)
+            charge += Fraction(1, 3) * sum(1 for w in nbrs if degrees[w] >= 3)
         rows.append(DischargeRow(v, degrees[v], charge))
     minimum = min((r.modified_degree for r in rows), default=None)
     meets = minimum is None or minimum >= Fraction(8, 3)

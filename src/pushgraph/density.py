@@ -83,19 +83,15 @@ def _denser_subgraph(g: OrientedGraph, num: int, den: int) -> list[int] | None:
     capacity den.  A min cut strictly below den*sum(deg) witnesses S; its
     source side maximises den*e(S) - num*|S|.
     """
-    edges = g.edges()
     net = _Dinic(g.n + 2)
     source, sink = g.n, g.n + 1
-    total = 0
-    for v in range(g.n):
-        d = g.degree(v)
-        total += den * d
-        net.add_edge(source, v, den * d)
+    for v, nbrs in enumerate(g.adjacency):
+        net.add_edge(source, v, den * len(nbrs))
         net.add_edge(v, sink, 2 * num)
-    for u, v in edges:
+    for u, v in g.arcs:
         net.add_edge(u, v, den, den)
     flow, level = net.min_cut(source, sink)
-    if flow >= total:
+    if flow >= 2 * den * len(g.arcs):  # den * sum(deg)
         return None
     chosen = [v for v in range(g.n) if level[v] >= 0]
     if not chosen:
@@ -105,7 +101,7 @@ def _denser_subgraph(g: OrientedGraph, num: int, den: int) -> list[int] | None:
 
 def _density(g: OrientedGraph, vertices: list[int]) -> Fraction:
     inside = set(vertices)
-    edge_count = sum(1 for u, v in g.edges() if u in inside and v in inside)
+    edge_count = sum(1 for u, v in g.arcs if u in inside and v in inside)
     return Fraction(edge_count, len(vertices))
 
 

@@ -69,6 +69,16 @@ class OrientedGraph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Underlying neighbours of each vertex, in O(n + m) space; the n-bit
+        masks above are for bit-parallel searches only."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.arcs:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(tuple, nbrs))
+
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} out of range for n={self.n}")
@@ -83,7 +93,7 @@ class OrientedGraph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return frozenset(_bits(self.out_masks[v] | self.in_masks[v]))
+        return frozenset(self.adjacency[v])
 
     def out_degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -96,7 +106,7 @@ class OrientedGraph:
     def degree(self, v: int) -> int:
         """Degree of v in the underlying simple graph."""
         self._check_vertex(v)
-        return (self.out_masks[v] | self.in_masks[v]).bit_count()
+        return len(self.adjacency[v])
 
     def has_arc(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -141,7 +151,7 @@ def underlying_girth(g: OrientedGraph) -> int | float:
     BFS from every vertex; a non-tree edge (x, y) seen at depths d(x), d(y)
     closes a cycle of length d(x) + d(y) + 1.
     """
-    adj = [list(_bits(g.out_masks[v] | g.in_masks[v])) for v in range(g.n)]
+    adj = g.adjacency
     best = math.inf
     for start in range(g.n):
         dist = {start: 0}

@@ -65,7 +65,7 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
         return ()
     if h.n == 0:
         return None
-    degree = [g.degree(v) for v in range(n)]
+    degree = [len(nbrs) for nbrs in g.adjacency]
     h_out, h_in = h.out_masks, h.in_masks
     constraints: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
     for u, v in g.arcs:

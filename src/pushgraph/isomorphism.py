@@ -112,7 +112,7 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
 
     g_out, g_in = g.out_masks, g.in_masks
     h_out, h_in = h.out_masks, h.in_masks
-    g_nbrs = [list(_bits(g_out[v] | g_in[v])) for v in range(n)]
+    g_nbrs = g.adjacency
     h_twin = _previous_twins(h)
 
     # pick order: most already-mapped neighbors first; ties by color class

@@ -126,9 +126,11 @@ def repair_isomorphism(
 ) -> IsoCertificate:
     """Turn an isomorphism of anti-twinned graphs into an anti-twin-respecting one.
 
-    While some vertex v has f(v') != f(v)', swap the images of v' and of the
-    preimage of f(v)'; every swap strictly enlarges the respecting set, so at
-    most n swaps happen.  The output is re-verified.
+    For each base vertex v in turn, if f(v') != f(v)', swap the images of v'
+    and of the preimage of f(v)'.  One pass suffices: a later swap at u moves
+    the images of u' and of the preimage of f(u)' only, and neither is v or
+    v' (that would need f(u) = f(v) or u = v'), so a repaired pair stays
+    repaired.  The output is re-verified.
     """
     rg, rh = anti_twinned(g), anti_twinned(h)
     if not is_isomorphism(rg, rh, cert.mapping):
@@ -138,22 +140,13 @@ def repair_isomorphism(
     inverse = [-1] * (2 * n)
     for v, w in enumerate(f):
         inverse[w] = v
-    swaps = 0
-    progress = True
-    while progress:
-        progress = False
-        for v in range(n):
-            expected = anti_twin(f[v], n)
-            if f[v + n] == expected:
-                continue
+    for v in range(n):
+        expected = anti_twin(f[v], n)
+        if f[v + n] != expected:
             other = inverse[expected]
             f[v + n], f[other] = expected, f[v + n]
             inverse[f[v + n]] = v + n
             inverse[f[other]] = other
-            swaps += 1
-            progress = True
-            if swaps > n:
-                raise AssertionError("repair loop exceeded the guaranteed swap bound")
     repaired = IsoCertificate(tuple(f))
     if not is_isomorphism(rg, rh, repaired.mapping):
         raise AssertionError("repair produced a non-isomorphism")

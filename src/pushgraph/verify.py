@@ -406,7 +406,7 @@ def suite_zielonka() -> VerdictReport:
 # -- gadgets-p3 ---------------------------------------------------------------
 
 
-def suite_gadgets_p3(claim3: bool = False, budget: SearchBudget | None = None) -> VerdictReport:
+def suite_gadgets_p3(budget: SearchBudget | None = None) -> VerdictReport:
     suite = VerdictReport("gadgets-p3")
 
     with suite.check("gadgets/uc4-push-invariant") as verdict:
@@ -486,18 +486,17 @@ def suite_gadgets_p3(claim3: bool = False, budget: SearchBudget | None = None) -
             "anti-twin reduction and presentation enumeration agree on all small targets",
         )
 
-    if claim3:
-        with suite.check("gadgets/nine-tournament-search") as verdict:
-            relaxed = nine_tournament_constraint_search(enforce_pairs=False)
-            outcome = nine_tournament_constraint_search()
-            verdict(
-                outcome["survivors"] == 0 and relaxed["survivors"] > 0,
-                f"{relaxed['survivors']} degree-feasible residual tournaments exist, "
-                f"0 required; with the pair constraint: {outcome['explored']} partial "
-                f"assignments explored, {outcome['pair_pruned']} pair-pruned, "
-                f"{outcome['survivors']} survivors",
-                witness={"relaxed": relaxed, "constrained": outcome},
-            )
+    with suite.check("gadgets/nine-tournament-search") as verdict:
+        relaxed = nine_tournament_constraint_search(enforce_pairs=False)
+        outcome = nine_tournament_constraint_search()
+        verdict(
+            outcome["survivors"] == 0 and relaxed["survivors"] > 0,
+            f"{relaxed['survivors']} degree-feasible residual tournaments exist, "
+            f"0 required; with the pair constraint: {outcome['explored']} partial "
+            f"assignments explored, {outcome['pair_pruned']} pair-pruned, "
+            f"{outcome['survivors']} survivors",
+            witness={"relaxed": relaxed, "constrained": outcome},
+        )
     return suite
 
 

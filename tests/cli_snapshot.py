@@ -10,9 +10,9 @@ byte-identical.  pytest does not collect this file (its name lacks test_).
 
 The list: the ten verify suites at default options, with --budget-nodes 1 and
 with --budget-nodes 40; hom, chroma and color where a witness is found, where
-none exists and where the budget runs out; color sparse on 9, 300 and 2000
-vertices, with and without --audit; equiv, split and push; and every gen
-family.
+none exists and where the budget runs out; color sparse on 9, 300, 2000 and
+20000 vertices, with and without --audit; equiv, split and push; and every
+gen family.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "uc4": families.uc4(),
         "op30": families.random_outerplanar(30, 5, seed=4),
         "op200": families.random_outerplanar(200, 5, seed=1),
-        **{f"s{n}": families.random_sparse(n, seed=n % 7) for n in (9, 40, 300, 2000)},
+        **{f"s{n}": families.random_sparse(n, seed=n % 7) for n in (9, 40, 300, 2000, 20000)},
     }
     paths = {}
     for name, g in graphs.items():
@@ -82,7 +82,7 @@ def commands(p: dict[str, str]) -> dict[str, list[str]]:
         "split": ["split", p["uc4"]],
         "push": ["push", p["w"], p["vector"]],
     })
-    for n in (9, 300, 2000):
+    for n in (9, 300, 2000, 20000):
         cmds[f"color-sparse-{n}"] = ["color", "sparse", p[f"s{n}"]]
         cmds[f"color-sparse-{n}-audit"] = ["color", "sparse", p[f"s{n}"], "--audit"]
     for family, params in GEN.items():

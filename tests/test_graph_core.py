@@ -18,8 +18,16 @@ from pushgraph import (
     parse_graph,
     underlying_girth,
 )
+from pushgraph.coloring import color_outerplanar_g5, discharge_audit, push_color_to_paley
 from pushgraph.density import mad_less_than
-from pushgraph.families import b0, directed_cycle, girth8_witness, oriented_path
+from pushgraph.families import (
+    b0,
+    directed_cycle,
+    girth8_witness,
+    oriented_path,
+    random_outerplanar,
+    random_sparse,
+)
 
 from oracles import girth_by_edge_removal, mad_by_subset_enumeration, random_oriented_graph
 
@@ -73,6 +81,14 @@ def test_neighborhoods_disjoint_everywhere():
         for v in range(g.n):
             assert not g.out_neighbors(v) & g.in_neighbors(v)
             assert v not in g.out_neighbors(v) | g.in_neighbors(v)
+            # the adjacency lists against the masks
+            assert g.neighbors(v) == g.out_neighbors(v) | g.in_neighbors(v)
+            assert g.degree(v) == len(g.neighbors(v))
+        for v in (-1, g.n):
+            with pytest.raises(GraphError):
+                g.degree(v)
+            with pytest.raises(GraphError):
+                g.neighbors(v)
 
 
 def test_girth_directed_cycle():
@@ -252,3 +268,19 @@ def test_parse_error_line_number():
 def test_emit_orders_arcs():
     g = OrientedGraph(3, ((2, 0), (0, 1)))
     assert emit_graph(g).splitlines() == ["oriented 3", "a 0 1", "a 2 0"]
+
+
+def test_linear_scans_build_no_masks():
+    # masks cost n bits per vertex; colouring and measuring a large sparse
+    # graph must read the O(n + m) adjacency only
+    g = random_sparse(2000, 1)
+    push_color_to_paley(g)
+    max_average_degree(g)
+    discharge_audit(g)
+    underlying_girth(g)
+    o = random_outerplanar(2000, 5, 1)
+    color_outerplanar_g5(o)
+    max_average_degree(o)
+    for graph in (g, o):
+        built = {"out_masks", "in_masks"} & set(vars(graph))
+        assert not built

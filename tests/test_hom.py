@@ -292,6 +292,15 @@ def test_solver_results_match_pinned_digests():
     assert _sha256(chromatic(oriented_chromatic_number(g)) for g in classes) == (
         "0fbd16ad1d02c8b73d043c6be7209927c140ce72cee93b5d16969045ed9762da"
     )
+    # random 12-vertex graphs make both chromatic searches backtrack
+    rng = random.Random(1)
+    backtracking = [random_oriented_graph(rng, 12, 0.3) for _ in range(30)]
+    lines = [
+        chromatic(search(g))
+        for g in backtracking
+        for search in (push_chromatic_number, oriented_chromatic_number)
+    ]
+    assert _sha256(lines) == "fc8da05d40bb7e8ee4527def62440ab606dc97470aaf715debb6a7ff9d9edf62"
     expected = {
         1: "ff5efdd0c7ddbaa6589e0f3aea30740d66f080775478f419a8db22373d4969c3",
         3: "474dfadde6f89fe6fd2a4c440322889d57e2f7ea084d53d566b01f0bac1d0ff1",

@@ -171,7 +171,7 @@ FAULTS = {
     "gadget": (
         "gadgets-p3", {}, [(hom, "brute_force_push_hom", _finds_everything)],
         {"gadgets/reduction-vs-brute-on-gadget"},
-        "cd7a57515ef5891114841e60df7580cb4f2ecc3de19cc937edf97f1307e36c61",
+        "15e1923e190503b5f46cc3ad8d324ae357637db7bc7dde295325a6966109d808",
     ),
     "outerplanar5": (
         "outerplanar5",
