@@ -1,4 +1,12 @@
-"""Exact maximum average degree: Dinkelbach iteration over Goldberg min cuts.
+"""Exact maximum average degree: a 2-core peel, then Dinkelbach iteration
+over Goldberg min cuts.
+
+The min cut runs on the 2-core of the underlying graph only, which is exact:
+if S has density e/|S| >= 1 and v in S has degree d <= 1 inside S, then
+(e - d)/(|S| - 1) >= e/|S|, since that holds exactly when e >= d*|S|.  So
+when g has a cycle (density 1), some densest subgraph lies in its 2-core.
+When the 2-core is empty g is a forest, and mad(g) = 2(k - 1)/k for the
+order k of its largest tree, with no min cut at all.
 
 All arithmetic is integral or rational; the 8/3 sparseness threshold is a
 strict comparison, so floating point is never used.  The max-flow keeps its
@@ -105,31 +113,68 @@ def _density(g: OrientedGraph, vertices: list[int]) -> Fraction:
     return Fraction(edge_count, len(vertices))
 
 
+def _peel(g: OrientedGraph) -> tuple[OrientedGraph, Fraction]:
+    """The 2-core of g's underlying graph, and the mad of the largest tree
+    peeled whole (0 if none): mad(g) is this value when the core is empty,
+    and the core's mad otherwise.
+
+    One O(n + m) peel (Batagelj & Zaversnik 2003) deletes vertices of degree
+    <= 1 until none is left; each deleted vertex hands the vertices it carries
+    to its last live neighbour, so a tree's last vertex carries the whole tree.
+    """
+    adj = g.adjacency
+    degree = [len(nbrs) for nbrs in adj]
+    carried = [1] * g.n
+    alive = [True] * g.n
+    stack = [v for v in range(g.n) if degree[v] <= 1]
+    tree = 0
+    while stack:
+        v = stack.pop()
+        alive[v] = False
+        u = next((u for u in adj[v] if alive[u]), None)
+        if u is None:
+            tree = max(tree, carried[v])
+            continue
+        carried[u] += carried[v]
+        degree[u] -= 1
+        if degree[u] == 1:
+            stack.append(u)
+    core, _ = g.induced(v for v in range(g.n) if alive[v])
+    return core, Fraction(2 * (tree - 1), tree) if tree else Fraction(0)
+
+
 def max_average_degree(g: OrientedGraph) -> Fraction:
     """Exact mad(g) = max over non-empty subgraphs H of 2|E(H)|/|V(H)|.
 
-    Dinkelbach iteration over Goldberg min cuts: from the whole graph's
+    Dinkelbach iteration over Goldberg min cuts on the 2-core: from the core's
     density d, each cut exposes the subgraph maximising e(S) - d*|S|, which is
     denser than d whenever any subgraph is, so d rises through achieved
     densities and stops at the maximum.
     """
     if g.n < 1:
         raise GraphError("max_average_degree requires at least one vertex")
-    best = _density(g, list(range(g.n)))
-    while (denser := _denser_subgraph(g, best.numerator, best.denominator)) is not None:
-        best = _density(g, denser)
+    core, forest = _peel(g)
+    if core.n == 0:
+        return forest
+    best = _density(core, list(range(core.n)))
+    while (denser := _denser_subgraph(core, best.numerator, best.denominator)) is not None:
+        best = _density(core, denser)
     return 2 * best
 
 
 def mad_less_than(g: OrientedGraph, bound: Fraction) -> bool:
     """Exact test mad(g) < bound with a single min-cut computation.
 
-    Uses the threshold num/den = (a*n - 1)/(2*b*n) for bound a/b: an integer
-    density e/|S| exceeds it exactly when 2b*e >= a*|S|, i.e. mad >= bound.
+    Uses the threshold num/den = (a*n - 1)/(2*b*n) for bound a/b on the
+    n-vertex 2-core: an integer density e/|S| with |S| <= n exceeds it exactly
+    when 2b*e >= a*|S|, i.e. mad >= bound.  A forest needs no cut.
     """
     if g.n < 1:
         raise GraphError("mad_less_than requires at least one vertex")
     if bound <= 0:
         return False
+    core, forest = _peel(g)
+    if core.n == 0:
+        return forest < bound
     a, b = bound.numerator, bound.denominator
-    return _denser_subgraph(g, a * g.n - 1, 2 * b * g.n) is None
+    return _denser_subgraph(core, a * core.n - 1, 2 * b * core.n) is None

@@ -113,10 +113,6 @@ class OrientedGraph:
         self._check_vertex(v)
         return bool(self.out_masks[u] >> v & 1)
 
-    def edges(self) -> list[Arc]:
-        """Underlying simple edges as sorted (min, max) pairs."""
-        return sorted((u, v) if u < v else (v, u) for u, v in self.arcs)
-
     # -- surgery -------------------------------------------------------------
 
     def relabel(self, perm: Sequence[int]) -> "OrientedGraph":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .graph import GraphError, OrientedGraph
@@ -57,6 +58,10 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
     instead of being rediscovered once per combination of the others.
     Variable order is deterministic smallest-domain-first with ties broken by
     maximum degree and then vertex id; candidate values ascend by target id.
+    The next variable comes from a lazy min-heap of (domain size, -degree,
+    vertex): every narrowed or restored domain offers a fresh entry, and an
+    entry whose size no longer matches its vertex's domain is dropped when it
+    reaches the top, so a pick costs O(log n) per entry instead of a scan.
     Choice points live on an explicit stack, one frame per assigned vertex.
     Returns the mapping, or None when there is none or the tracker ran out.
     """
@@ -75,6 +80,7 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
 
     full = (1 << h.n) - 1
     domains = [full] * n
+    heap: list[tuple[int, int, int]] = []
 
     def propagate(changed: list[int], trail: list[tuple[int, int]]) -> bool:
         while changed:
@@ -95,22 +101,22 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
                     domains[a] = new
                     if new == 0:
                         return False
+                    heappush(heap, (new.bit_count(), -degree[a], a))
                     changed.append(a)
         return True
 
     if not propagate(list(range(n)), []):
         return None
+    heap[:] = [(d.bit_count(), -degree[v], v) for v, d in enumerate(domains)]
+    heapify(heap)
 
     def pick() -> int:
-        best = -1
-        best_key = None
-        for v in range(n):
-            count = domains[v].bit_count()
-            if count > 1:
-                key = (count, -degree[v], v)
-                if best_key is None or key < best_key:
-                    best, best_key = v, key
-        return best
+        while heap:
+            count, _, v = heap[0]
+            if count > 1 and count == domains[v].bit_count():
+                return v
+            heappop(heap)
+        return -1
 
     v = pick()
     if v < 0:
@@ -123,6 +129,7 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
         v, cand, saved, trail = frame
         for a, old in reversed(trail):
             domains[a] = old
+            heappush(heap, (old.bit_count(), -degree[a], a))
         if not cand:
             stack.pop()
             continue

@@ -10,7 +10,8 @@ byte-identical.  pytest does not collect this file (its name lacks test_).
 
 The list: the ten verify suites at default options, with --budget-nodes 1 and
 with --budget-nodes 40; hom, chroma and color where a witness is found, where
-none exists and where the budget runs out; color sparse on 9, 300, 2000 and
+none exists and where the budget runs out; color outerplanar5 on 4000
+vertices, a deep solver search; color sparse on 9, 300, 2000 and
 20000 vertices, with and without --audit; equiv, split and push; and every
 gen family.
 """
@@ -46,6 +47,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "uc4": families.uc4(),
         "op30": families.random_outerplanar(30, 5, seed=4),
         "op200": families.random_outerplanar(200, 5, seed=1),
+        "op4000": families.random_outerplanar(4000, 5, seed=1),
         **{f"s{n}": families.random_sparse(n, seed=n % 7) for n in (9, 40, 300, 2000, 20000)},
     }
     paths = {}
@@ -74,6 +76,7 @@ def commands(p: dict[str, str]) -> dict[str, list[str]]:
         "chroma-push-none": ["chroma", "push", p["w"], "--max-k", "3"],
         "chroma-budget": ["chroma", "oriented", p["s40"], "--budget-nodes", "1"],
         "color-outerplanar5-found": ["color", "outerplanar5", p["op200"]],
+        "color-outerplanar5-deep": ["color", "outerplanar5", p["op4000"]],
         "color-outerplanar5-none": ["color", "outerplanar5", p["w"], "--budget-nodes", "100"],
         "color-outerplanar5-budget": ["color", "outerplanar5", p["op30"], "--budget-nodes", "1"],
         "color-sparse-dense": ["color", "sparse", p["paley"]],

@@ -28,9 +28,14 @@ def random_oriented_graph(rng: random.Random, n: int, p: float = 0.4) -> Oriente
     return OrientedGraph(n, tuple(arcs))
 
 
+def underlying_edges(g: OrientedGraph) -> list[tuple[int, int]]:
+    """Underlying simple edges as sorted (min, max) pairs."""
+    return sorted((min(u, v), max(u, v)) for u, v in g.arcs)
+
+
 def girth_by_edge_removal(g: OrientedGraph):
     """min over edges of 1 + shortest path between its endpoints without it."""
-    edges = g.edges()
+    edges = underlying_edges(g)
     best = float("inf")
     for skip in edges:
         adj = {v: set() for v in range(g.n)}
@@ -54,7 +59,7 @@ def girth_by_edge_removal(g: OrientedGraph):
 
 
 def mad_by_subset_enumeration(g: OrientedGraph) -> Fraction:
-    edges = g.edges()
+    edges = underlying_edges(g)
     edge_masks = [(1 << u) | (1 << v) for u, v in edges]
     best = Fraction(0)
     for subset in range(1, 1 << g.n):

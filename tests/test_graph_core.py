@@ -29,7 +29,12 @@ from pushgraph.families import (
     random_sparse,
 )
 
-from oracles import girth_by_edge_removal, mad_by_subset_enumeration, random_oriented_graph
+from oracles import (
+    girth_by_edge_removal,
+    mad_by_subset_enumeration,
+    random_oriented_graph,
+    time_limit,
+)
 
 
 def test_triangle_construction():
@@ -173,18 +178,64 @@ def core_and_tail_graphs(draw) -> OrientedGraph:
     return OrientedGraph(n, tuple(arcs))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(core_and_tail_graphs())
-def test_mad_and_threshold_agree_with_subset_enumeration(g):
+def _random_tree_arcs(draw, vertices) -> list[tuple[int, int]]:
+    """Randomly oriented arcs joining each vertex after the first to an
+    earlier one."""
+    arcs = []
+    for i in range(1, len(vertices)):
+        u, v = vertices[draw(st.integers(0, i - 1))], vertices[i]
+        arcs.append((u, v) if draw(st.booleans()) else (v, u))
+    return arcs
+
+
+@st.composite
+def forests(draw) -> OrientedGraph:
+    """Up to 12 vertices in several trees, isolated vertices included, so
+    that the 2-core is empty and mad is the largest tree's closed form."""
+    n = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    arcs = []
+    for start, stop in zip([0, *cuts], [*cuts, n]):
+        arcs += _random_tree_arcs(draw, list(range(start, stop)))
+    return OrientedGraph(n, tuple(arcs))
+
+
+@st.composite
+def cycle_beside_tree(draw) -> OrientedGraph:
+    """A randomly oriented cycle next to a disjoint tree with more vertices:
+    the 2-core is the cycle, and the tree is the larger part of the graph."""
+    length = draw(st.integers(3, 5))
+    n = length + draw(st.integers(length + 1, 12 - length))
+    cycle = [(i, (i + 1) % length) for i in range(length)]
+    arcs = [(u, v) if draw(st.booleans()) else (v, u) for u, v in cycle]
+    arcs += _random_tree_arcs(draw, list(range(length, n)))
+    return OrientedGraph(n, tuple(arcs))
+
+
+def _check_mad_against_subset_enumeration(g: OrientedGraph) -> None:
     mad = max_average_degree(g)
     assert mad == mad_by_subset_enumeration(g)
     assert mad_less_than(g, mad) is False
     assert mad_less_than(g, mad + Fraction(1, 2 * g.n * g.n)) is True
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(core_and_tail_graphs())
+def test_mad_and_threshold_agree_with_subset_enumeration(g):
+    _check_mad_against_subset_enumeration(g)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(forests(), cycle_beside_tree()))
+def test_peeled_mad_and_threshold_agree_with_subset_enumeration(g):
+    _check_mad_against_subset_enumeration(g)
+
+
 def test_mad_beyond_the_recursion_limit():
-    # every augmenting path of the min cut runs along the 2000-vertex path
-    assert max_average_degree(oriented_path("+" * 1999)) == Fraction(1999, 1000)
+    # a long path is where a min cut on the whole graph needs one phase per
+    # two path vertices; the 2-core peel leaves no cut to run
+    with time_limit(10):
+        assert max_average_degree(oriented_path("+" * 4999)) == Fraction(4999, 2500)
 
 
 def test_disjoint_union_counts():

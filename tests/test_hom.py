@@ -18,7 +18,8 @@ from pushgraph import (
     push_chromatic_number,
     transfer,
 )
-from pushgraph.families import b0, c3, directed_cycle, girth8_witness, uc4
+from pushgraph.coloring import color_outerplanar_g5
+from pushgraph.families import b0, c3, directed_cycle, girth8_witness, random_outerplanar, uc4
 from pushgraph.graph import emit_graph
 from pushgraph.verify import enumerate_oriented_graphs
 
@@ -92,6 +93,15 @@ def test_push_hom_beyond_the_recursion_limit():
     assert res.status == "found"
     pushed = push_by_hand(g, res.witness.push_vector)
     assert all(c3().has_arc(res.witness.mapping[u], res.witness.mapping[v]) for u, v in pushed.arcs)
+
+
+def test_outerplanar_colouring_at_twenty_thousand_vertices():
+    # a variable pick that rescans every domain at every node is quadratic
+    # here and takes far longer than the limit
+    g = random_outerplanar(20000, 5, 1)
+    with time_limit(10):
+        certificate = color_outerplanar_g5(g)
+    assert certificate.source is g
 
 
 def test_witness_refuses_triangle_with_proof():
@@ -317,3 +327,18 @@ def test_solver_results_match_pinned_digests():
                 res = find_push_hom(g, h, budget)
                 lines.append(repr((res.status, _hit(res.witness), res.nodes)))
         assert _sha256(lines) == digest
+
+
+def test_deep_outerplanar_searches_match_pinned_digests():
+    # thousands of choice points with almost no backtracking: the node counts
+    # and witnesses pin the variable order along the whole search
+    expected = {
+        1000: (648, "600ccf8b32e4cfe017de1aa3047965e12fb7f1e9eeecac27980b3712de46ae5c"),
+        2000: (1327, "e6f1987bb9a4fc351153b1095dc8c16560441fee8eafd09b4689bfa63f61453a"),
+        4000: (2570, "34ed8d91a6111dcc59a61bff1d0a04973aefd0b6694fe85f9dd57bd6086a8da5"),
+    }
+    for n, (nodes, digest) in expected.items():
+        res = find_push_hom(random_outerplanar(n, 5, 1), c3())
+        assert res.status == "found"
+        assert res.nodes == nodes
+        assert _sha256([repr(_hit(res.witness))]) == digest
