@@ -9,8 +9,9 @@ keeps exhaustive-quality answers fast at the sizes this package works with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .graph import GraphError, OrientedGraph, _bits
+from .graph import GraphError, OrientedGraph
 
 CANONICAL_SIZE_LIMIT = 16
 
@@ -46,27 +47,76 @@ def refine_colors(g: OrientedGraph) -> tuple[int, ...]:
 
     The final coloring is an isomorphism invariant: corresponding vertices of
     isomorphic graphs receive equal colors, and colors are dense from 0.
+
+    The colors are the fixed point of a round that gives each vertex the rank
+    of its signature (color, sorted out-neighbour colors, sorted in-neighbour
+    colors), starting from all-zero colors.  The old color is the primary
+    key, so a class that does not split keeps its place in the order, and a
+    class that splits takes consecutive places ordered by its members' (out,
+    in) color tuples; the first round's tuples are all zeros and sort as
+    (out-degree, in-degree).  Here a class is numbered by its first place
+    rather than its rank: the two numberings are in the same order, so every
+    tuple comparison and every split is the same, and a split renumbers only
+    the members of its later parts.  A class can split in the next round
+    only if one of its members has an in- or out-neighbour whose number
+    changed in this one: otherwise its members' neighbour tuples are the
+    same as in this round, where they were equal.  Each round therefore
+    signs only the members of those dirty classes, reading arc lists, and
+    the ranks of the places at the fixed point are the colors that signing
+    every vertex in every round gives.
     """
     n = g.n
     if n == 0:
         return ()
-    outs = [list(_bits(m)) for m in g.out_masks]
-    ins = [list(_bits(m)) for m in g.in_masks]
-    colors = [0] * n
-    while True:
-        signature = [
-            (
-                colors[v],
-                tuple(sorted(colors[w] for w in outs[v])),
-                tuple(sorted(colors[w] for w in ins[v])),
-            )
-            for v in range(n)
-        ]
-        palette = {sig: i for i, sig in enumerate(sorted(set(signature)))}
-        new_colors = [palette[signature[v]] for v in range(n)]
-        if new_colors == colors:
-            return tuple(colors)
-        colors = new_colors
+    # ends[v] lists v's out-neighbours w as w and its in-neighbours w as
+    # w + n, and colors[w + n] = colors[w] + n: every member of a class has
+    # the same out- and in-degree, so the sorted colors of ends[v] order the
+    # members of a class as their (out, in) tuples do
+    ends: list[list[int]] = [[] for _ in range(n)]
+    in_degree = [0] * n
+    for u, v in g.arcs:
+        ends[u].append(v)
+        ends[v].append(u + n)
+        in_degree[v] += 1
+    by_degrees: dict[tuple[int, int], list[int]] = {}
+    for v in range(n):
+        by_degrees.setdefault((len(ends[v]) - in_degree[v], in_degree[v]), []).append(v)
+    colors = [0] * (2 * n)  # the first place of each vertex's class
+    cells: dict[int, list[int]] = {}  # first place -> members
+    place = 0
+    for key in sorted(by_degrees):
+        cells[place] = members = by_degrees[key]
+        for v in members:
+            colors[v] = place
+            colors[v + n] = place + n
+        place += len(members)
+    moved = [v for v in range(n) if colors[v]]
+    nbrs = g.adjacency
+    color_of = colors.__getitem__
+    while moved:
+        splits = []
+        for place in {colors[u] for v in moved for u in nbrs[v]}:
+            members = cells[place]
+            if len(members) < 2:
+                continue
+            parts: dict[tuple, list[int]] = {}
+            for v in members:
+                key = tuple(sorted(map(color_of, ends[v])))
+                parts.setdefault(key, []).append(v)
+            if len(parts) > 1:
+                splits.append((place, [parts[key] for key in sorted(parts)]))
+        moved = []
+        for place, parts in splits:
+            cells[place] = parts[0]
+            for before, members in zip(parts, parts[1:]):
+                place += len(before)
+                cells[place] = members
+                for v in members:
+                    colors[v] = place
+                    colors[v + n] = place + n
+                moved += members
+    rank = {place: c for c, place in enumerate(sorted(cells))}
+    return tuple(rank[place] for place in colors[:n])
 
 
 def _previous_twins(g: OrientedGraph) -> list[int]:
@@ -110,35 +160,50 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
     for w in range(n):
         h_by_color.setdefault(hcol[w], []).append(w)
 
-    g_out, g_in = g.out_masks, g.in_masks
     h_out, h_in = h.out_masks, h.in_masks
-    g_nbrs = g.adjacency
     h_twin = _previous_twins(h)
 
     # pick order: most already-mapped neighbors first; ties by color class
-    # size, then id.  score[v] = n * (mapped neighbors of v) + n - 1 - rank[v]
-    # for unmapped v, where rank orders (class size, id); a mapped vertex
-    # carries -mapped_offset on top, so the maximum score is the next pick
-    by_rank = sorted(range(n), key=lambda v: (len(h_by_color[gcol[v]]), v))
-    score = [0] * n
-    for rank, v in enumerate(by_rank):
-        score[v] = n - 1 - rank
-    mapped_offset = n * n + n
+    # size, then id.  A pick depends only on which vertices are mapped, and at
+    # every node those are the earlier picks, so the order is fixed before
+    # the search.  The lazy heap holds (-mapped neighbors, class size, v); a
+    # vertex's newest entry is its smallest, so its first entry out is current
+    size = [len(h_by_color[c]) for c in gcol]
+    heap = sorted((0, size[v], v) for v in range(n))  # a sorted list is a heap
+    mapped_nbrs = [0] * n
+    position = [-1] * n
+    order: list[int] = []
+    while heap:
+        _, _, v = heappop(heap)
+        if position[v] != -1:
+            continue
+        position[v] = len(order)
+        order.append(v)
+        for u in g.adjacency[v]:
+            if position[u] == -1:
+                mapped_nbrs[u] += 1
+                heappush(heap, (-mapped_nbrs[u], size[u], u))
+    # each vertex's in- and out-neighbors that are mapped when it is picked
+    earlier_ins: list[list[int]] = [[] for _ in range(n)]
+    earlier_outs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.arcs:
+        if position[u] < position[v]:
+            earlier_ins[v].append(u)
+        else:
+            earlier_outs[u].append(v)
 
     mapping = [-1] * n
     used_mask = 0
 
-    def open_node() -> tuple[int, list[int]]:
-        # the images w of v consistent with the partial map: the mapped in-
-        # and out-neighbors of v must be exactly the used ones of w
-        v = score.index(max(score))
+    def open_node(k: int) -> list:
+        # the images w of the k-th pick v consistent with the partial map: the
+        # mapped in- and out-neighbors of v must be exactly the used ones of w
+        v = order[k]
         img_in = img_out = 0
-        for u in _bits(g_in[v]):
-            if mapping[u] != -1:
-                img_in |= 1 << mapping[u]
-        for u in _bits(g_out[v]):
-            if mapping[u] != -1:
-                img_out |= 1 << mapping[u]
+        for u in earlier_ins[v]:
+            img_in |= 1 << mapping[u]
+        for u in earlier_outs[v]:
+            img_out |= 1 << mapping[u]
         cands = [
             w
             for w in h_by_color[gcol[v]]
@@ -147,10 +212,10 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
             and h_in[w] & used_mask == img_in
             and h_out[w] & used_mask == img_out
         ]
-        return v, cands
+        return [v, cands, 0]
 
     # one [vertex, candidates, next index] frame per assigned or open vertex
-    stack = [[*open_node(), 0]]
+    stack = [open_node(0)]
     while True:
         frame = stack[-1]
         v, cands, i = frame
@@ -158,9 +223,6 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
         if w != -1:  # undo the candidate tried last at this node
             mapping[v] = -1
             used_mask ^= 1 << w
-            score[v] += mapped_offset
-            for u in g_nbrs[v]:
-                score[u] -= n
         if i == len(cands):
             stack.pop()
             if not stack:
@@ -170,12 +232,9 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
         frame[2] = i + 1
         mapping[v] = w
         used_mask |= 1 << w
-        score[v] -= mapped_offset
-        for u in g_nbrs[v]:
-            score[u] += n
         if len(stack) == n:
             break
-        stack.append([*open_node(), 0])
+        stack.append(open_node(len(stack)))
 
     cert = IsoCertificate(tuple(mapping))
     if not is_isomorphism(g, h, cert.mapping):

@@ -132,10 +132,14 @@ def repair_isomorphism(
     v' (that would need f(u) = f(v) or u = v'), so a repaired pair stays
     repaired.  The output is re-verified.
     """
-    rg, rh = anti_twinned(g), anti_twinned(h)
+    return _repair(anti_twinned(g), anti_twinned(h), cert)
+
+
+def _repair(rg: OrientedGraph, rh: OrientedGraph, cert: IsoCertificate) -> IsoCertificate:
+    """repair_isomorphism on the already built anti-twinned graphs rg and rh."""
     if not is_isomorphism(rg, rh, cert.mapping):
         raise GraphError("repair_isomorphism requires an isomorphism of the anti-twinned graphs")
-    n = g.n
+    n = rg.n // 2
     f = list(cert.mapping)
     inverse = [-1] * (2 * n)
     for v, w in enumerate(f):
@@ -163,10 +167,11 @@ def push_equivalent(g: OrientedGraph, h: OrientedGraph) -> PushHomWitness | None
     """
     if g.n != h.n or len(g.arcs) != len(h.arcs):
         return None
-    found = is_isomorphic(anti_twinned(g), anti_twinned(h))
+    rg, rh = anti_twinned(g), anti_twinned(h)
+    found = is_isomorphic(rg, rh)
     if found is None:
         return None
-    repaired = repair_isomorphism(g, h, found)
+    repaired = _repair(rg, rh, found)
     witness = fold_to_push_witness(g, h, repaired.mapping[: g.n])
     if not is_isomorphism(push(g, witness.push_vector), h, witness.mapping):
         raise AssertionError("push-equivalence witness failed re-verification")

@@ -78,6 +78,29 @@ def iso_by_permutations(g: OrientedGraph, h: OrientedGraph):
     return None
 
 
+def refine_colors_by_rounds(g: OrientedGraph) -> tuple[int, ...]:
+    """Colour refinement that re-signs every vertex in every round: each
+    round ranks the signatures (colour, sorted out-colours, sorted
+    in-colours) until the colours stop changing."""
+    outs = [[v for u, v in g.arcs if u == x] for x in range(g.n)]
+    ins = [[u for u, v in g.arcs if v == x] for x in range(g.n)]
+    colors = [0] * g.n
+    while True:
+        signature = [
+            (
+                colors[v],
+                tuple(sorted(colors[w] for w in outs[v])),
+                tuple(sorted(colors[w] for w in ins[v])),
+            )
+            for v in range(g.n)
+        ]
+        palette = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        new_colors = [palette[sig] for sig in signature]
+        if new_colors == colors:
+            return tuple(colors)
+        colors = new_colors
+
+
 def hom_by_enumeration(g: OrientedGraph, h: OrientedGraph):
     if g.n == 0:
         return ()
@@ -123,17 +146,30 @@ def all_push_homs(g: OrientedGraph, h: OrientedGraph):
     return found
 
 
+class _Overrun(BaseException):
+    """The alarm inside a `time_limit` block; a BaseException, so no handler
+    in the code under test can swallow it."""
+
+
 @contextmanager
 def time_limit(seconds: float):
-    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+    """Raise TimeoutError from the block once `seconds` of wall time pass.
+
+    The TimeoutError is raised here, not in the signal handler, and drops
+    the interrupted frames: CPython can run the handler at a jump that has
+    no line number, and pytest, rendering a traceback through such a frame,
+    stops the whole session with INTERNALERROR instead of failing the test.
+    """
 
     def ring(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise _Overrun
 
     previous = signal.signal(signal.SIGALRM, ring)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except _Overrun:
+        raise TimeoutError(f"still running after {seconds} s") from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

@@ -11,14 +11,21 @@ from pushgraph import (
     OrientedGraph,
     anti_twinned,
     canonical_code,
+    disjoint_union,
     is_isomorphic,
     is_isomorphism,
     push,
 )
 from pushgraph.families import directed_cycle, random_outerplanar, random_sparse, uc4
+from pushgraph.isomorphism import refine_colors
 from pushgraph.verify import enumerate_oriented_graphs
 
-from oracles import iso_by_permutations, random_oriented_graph, time_limit
+from oracles import (
+    iso_by_permutations,
+    random_oriented_graph,
+    refine_colors_by_rounds,
+    time_limit,
+)
 
 
 def test_identity_isomorphism():
@@ -205,6 +212,33 @@ def test_twin_heavy_graphs_agree_with_permutation_oracle(pair):
     if cert is not None:
         assert is_isomorphism(g, h, cert.mapping)
     assert (canonical_code(g) == canonical_code(h)) == isomorphic
+
+
+@st.composite
+def refinement_inputs(draw) -> OrientedGraph:
+    """A random oriented graph on up to 40 vertices, a disjoint union of up
+    to three (some edgeless), or a twin-heavy graph; the first two perhaps
+    anti-twinned."""
+    kind = draw(st.sampled_from(("random", "union", "twins")))
+    if kind == "twins":
+        return draw(twin_heavy_graphs())
+
+    def random_graph(max_n):
+        n = draw(st.integers(0, max_n))
+        density = draw(st.sampled_from((0.0, 0.05, 0.1, 0.2, 0.4, 0.7)))
+        return random_oriented_graph(random.Random(draw(st.integers(0, 2**32))), n, density)
+
+    if kind == "random":
+        g = random_graph(40)
+    else:
+        g = disjoint_union([random_graph(14) for _ in range(draw(st.integers(1, 3)))])
+    return anti_twinned(g) if draw(st.booleans()) else g
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(refinement_inputs())
+def test_refinement_matches_signing_every_vertex_every_round(g):
+    assert refine_colors(g) == refine_colors_by_rounds(g)
 
 
 def _pinned_pairs():
