@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import Sequence
 
 from .graph import GraphError, OrientedGraph
 
@@ -64,10 +65,16 @@ def refine_colors(g: OrientedGraph) -> tuple[int, ...]:
     signs only the members of those dirty classes, reading arc lists, and
     the ranks of the places at the fixed point are the colors that signing
     every vertex in every round gives.
+
+    On anti_twinned(g) the colors are c + c, where c = _underlying_colors(g)
+    refines g's underlying graph.  v -> v' is an automorphism there, so v
+    and v' share a color in every round; and v's out-neighbours N+(v) and
+    N-(v)' and its in-neighbours N-(v) and N+(v)' carry the colors of N(v)
+    twice, so both of v's neighbour color lists are those of N(v).  Each
+    class S + S' then starts at twice the first place of S and splits as S
+    does, so push_equivalent never refines an anti-twinned graph.
     """
     n = g.n
-    if n == 0:
-        return ()
     # ends[v] lists v's out-neighbours w as w and its in-neighbours w as
     # w + n, and colors[w + n] = colors[w] + n: every member of a class has
     # the same out- and in-degree, so the sorted colors of ends[v] order the
@@ -78,14 +85,30 @@ def refine_colors(g: OrientedGraph) -> tuple[int, ...]:
         ends[u].append(v)
         ends[v].append(u + n)
         in_degree[v] += 1
-    by_degrees: dict[tuple[int, int], list[int]] = {}
-    for v in range(n):
-        by_degrees.setdefault((len(ends[v]) - in_degree[v], in_degree[v]), []).append(v)
+    return _refine(g, ends, [(len(ends[v]) - in_degree[v], in_degree[v]) for v in range(n)])
+
+
+def _underlying_colors(g: OrientedGraph) -> tuple[int, ...]:
+    """Refinement of g's underlying graph from its degree classes, signing a
+    vertex by the sorted colors of its neighbours; refine_colors says why
+    refine_colors(anti_twinned(g)) is these colors twice over."""
+    return _refine(g, g.adjacency, list(map(len, g.adjacency)))
+
+
+def _refine(g: OrientedGraph, ends: Sequence[Sequence[int]], start: list) -> tuple[int, ...]:
+    """The loop of refine_colors: vertices start in classes of equal start
+    key, in key order; a member of a class is signed by the sorted colors of
+    ends[v], where colors[w + n] = colors[w] + n, and a class is signed only
+    when a neighbour of one of its members moved in the last round."""
+    n = g.n
+    by_key: dict = {}
+    for v, key in enumerate(start):
+        by_key.setdefault(key, []).append(v)
     colors = [0] * (2 * n)  # the first place of each vertex's class
     cells: dict[int, list[int]] = {}  # first place -> members
     place = 0
-    for key in sorted(by_degrees):
-        cells[place] = members = by_degrees[key]
+    for key in sorted(by_key):
+        cells[place] = members = by_key[key]
         for v in members:
             colors[v] = place
             colors[v + n] = place + n
@@ -148,14 +171,20 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
     """
     if g.n != h.n or len(g.arcs) != len(h.arcs):
         return None
+    gcol, hcol = refine_colors(g), refine_colors(h)
+    if sorted(gcol) != sorted(hcol):
+        return None
+    return _find_isomorphism(g, h, gcol, hcol)
+
+
+def _find_isomorphism(
+    g: OrientedGraph, h: OrientedGraph, gcol: tuple[int, ...], hcol: tuple[int, ...]
+) -> IsoCertificate | None:
+    """The backtracking search of is_isomorphic, given the refined colors of
+    g and h, whose color histograms are equal."""
     n = g.n
     if n == 0:
         return IsoCertificate(())
-    gcol = refine_colors(g)
-    hcol = refine_colors(h)
-    if sorted(gcol) != sorted(hcol):
-        return None
-
     h_by_color: dict[int, list[int]] = {}
     for w in range(n):
         h_by_color.setdefault(hcol[w], []).append(w)

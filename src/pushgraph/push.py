@@ -4,7 +4,10 @@ and push-invariant pair statistics.
 Pushing a vertex set reverses exactly the arcs with one endpoint inside the
 set.  The anti-twinned graph doubles the vertex set, giving vertex i an
 anti-twin i + n whose incident arcs are all reversed; two oriented graphs are
-push-equivalent exactly when their anti-twinned graphs are isomorphic.  This
+push-equivalent exactly when their anti-twinned graphs are isomorphic.  The
+refined colours of anti_twinned(g) are those of g's underlying graph, twice
+over, so push_equivalent refines the base graphs and refutes a pair whose
+colour histograms differ before it builds any anti-twinned graph.  This
 module alone maps anti-twin structure back to the base graph:
 fold_to_push_witness reads a push vector and a mapping off a map into an
 anti-twinned target (push equivalence and push-homomorphism search share it),
@@ -20,9 +23,10 @@ from .graph import FormatError, GraphError, OrientedGraph, _bits, emit_graph
 from .isomorphism import (
     CANONICAL_SIZE_LIMIT,
     IsoCertificate,
+    _find_isomorphism,
+    _underlying_colors,
     canonical_code,
     is_homomorphism,
-    is_isomorphic,
     is_isomorphism,
 )
 
@@ -163,12 +167,20 @@ def push_equivalent(g: OrientedGraph, h: OrientedGraph) -> PushHomWitness | None
     Decides by testing anti_twinned(g) against anti_twinned(h), repairs the
     isomorphism, folds its base half (a homomorphism g -> anti_twinned(h))
     into a push vector and mapping, and re-verifies that the mapping is an
-    isomorphism before returning it.
+    isomorphism before returning it.  The search runs on the colors c + c,
+    where c refines a base graph's underlying graph: refine_colors shows
+    that these are the refined colors of the anti-twinned graph, so the
+    search and its certificate are those of is_isomorphic, and a pair whose
+    base color histograms differ is refuted before either anti-twinned graph
+    is built.
     """
     if g.n != h.n or len(g.arcs) != len(h.arcs):
         return None
+    gcol, hcol = _underlying_colors(g), _underlying_colors(h)
+    if sorted(gcol) != sorted(hcol):
+        return None
     rg, rh = anti_twinned(g), anti_twinned(h)
-    found = is_isomorphic(rg, rh)
+    found = _find_isomorphism(rg, rh, gcol + gcol, hcol + hcol)
     if found is None:
         return None
     repaired = _repair(rg, rh, found)

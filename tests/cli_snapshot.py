@@ -12,21 +12,25 @@ The list: the ten verify suites at default options, with --budget-nodes 1 and
 with --budget-nodes 40; hom, chroma and color where a witness is found, where
 none exists and where the budget runs out; color outerplanar5 on 4000
 vertices, a deep solver search; color sparse on 9, 300, 2000 and
-20000 vertices, with and without --audit; equiv, split and push; and every
-gen family.
+20000 vertices, with and without --audit; equiv on a 9-cycle, and on a
+128-vertex sparse graph against a pushed and relabelled copy, a double-edge
+swap with the same in- and out-degrees, a copy with one cycle arc reversed
+and a copy with one arc fewer; split and push; and every gen family.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
 import re
 import sys
 import tempfile
 from pathlib import Path
 
 from pushgraph import cli, families, verify
-from pushgraph.graph import emit_graph
+from pushgraph.graph import OrientedGraph, emit_graph
+from pushgraph.push import push
 
 WALL_TIME = re.compile(r'"wallTime": [-+0-9.e]+')
 
@@ -37,7 +41,55 @@ GEN = {
 }
 
 
+def pushed_copy(g: OrientedGraph, rng: random.Random) -> OrientedGraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return push(g, [v for v in range(g.n) if rng.random() < 0.5]).relabel(perm)
+
+
+def degree_pairs(g: OrientedGraph) -> list[tuple[int, int]]:
+    """The sorted degree pairs of the underlying edges: a push and relabel
+    invariant."""
+    degree = list(map(len, g.adjacency))
+    return sorted(tuple(sorted((degree[u], degree[v]))) for u, v in g.arcs)
+
+
+def degree_swap(g: OrientedGraph, rng: random.Random) -> OrientedGraph:
+    """Replace arcs (a, b), (c, d) by (a, d), (c, b), keeping every in- and
+    out-degree, where that changes the degree pairs, so that the result is
+    not push-equivalent to g."""
+    arcs = list(g.arcs)
+    adjacent = {frozenset(arc) for arc in arcs}
+    while True:
+        (a, b), (c, d) = rng.sample(arcs, 2)
+        if len({a, b, c, d}) == 4 and not adjacent & {frozenset((a, d)), frozenset((c, b))}:
+            rest = [arc for arc in arcs if arc not in ((a, b), (c, d))]
+            swapped = OrientedGraph(g.n, tuple(rest + [(a, d), (c, b)]))
+            if degree_pairs(swapped) != degree_pairs(g):
+                return swapped
+
+
+def reverse_cycle_arc(g: OrientedGraph) -> OrientedGraph:
+    """Reverse the first arc that lies on a cycle: the underlying graph stays
+    the same, so push_equivalent cannot refute the pair by its colours."""
+    for u, v in g.arcs:
+        rest = [arc for arc in g.arcs if arc != (u, v)]
+        adjacency = OrientedGraph(g.n, tuple(rest)).adjacency
+        reached, frontier = {u}, [u]
+        while frontier:
+            x = frontier.pop()
+            for y in adjacency[x]:
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        if v in reached:
+            return OrientedGraph(g.n, tuple(rest + [(v, u)]))
+    raise ValueError("the graph is a forest")
+
+
 def write_inputs(tmp: Path) -> dict[str, str]:
+    rng = random.Random(11)
+    s128 = families.random_sparse(128, seed=5)
     graphs = {
         "c3": families.c3(),
         "paley": families.paley_plus(),
@@ -49,6 +101,11 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         "op200": families.random_outerplanar(200, 5, seed=1),
         "op4000": families.random_outerplanar(4000, 5, seed=1),
         **{f"s{n}": families.random_sparse(n, seed=n % 7) for n in (9, 40, 300, 2000, 20000)},
+        "s128": s128,
+        "s128-pushed": pushed_copy(s128, rng),
+        "s128-swapped": degree_swap(s128, rng),
+        "s128-reversed": reverse_cycle_arc(s128),
+        "s128-less": OrientedGraph(128, s128.arcs[1:]),
     }
     paths = {}
     for name, g in graphs.items():
@@ -82,6 +139,10 @@ def commands(p: dict[str, str]) -> dict[str, list[str]]:
         "color-sparse-dense": ["color", "sparse", p["paley"]],
         "equiv-pos": ["equiv", p["cycle9"], p["cycle9-relabelled"]],
         "equiv-neg": ["equiv", p["cycle9"], p["w"]],
+        "equiv-s128-pushed": ["equiv", p["s128"], p["s128-pushed"]],
+        "equiv-s128-swapped": ["equiv", p["s128"], p["s128-swapped"]],
+        "equiv-s128-reversed": ["equiv", p["s128"], p["s128-reversed"]],
+        "equiv-s128-arcs": ["equiv", p["s128"], p["s128-less"]],
         "split": ["split", p["uc4"]],
         "push": ["push", p["w"], p["vector"]],
     })

@@ -17,7 +17,7 @@ from pushgraph import (
     push,
 )
 from pushgraph.families import directed_cycle, random_outerplanar, random_sparse, uc4
-from pushgraph.isomorphism import refine_colors
+from pushgraph.isomorphism import _underlying_colors, refine_colors
 from pushgraph.verify import enumerate_oriented_graphs
 
 from oracles import (
@@ -239,6 +239,24 @@ def refinement_inputs(draw) -> OrientedGraph:
 @given(refinement_inputs())
 def test_refinement_matches_signing_every_vertex_every_round(g):
     assert refine_colors(g) == refine_colors_by_rounds(g)
+
+
+def _assert_anti_twinned_colors_are_doubled(g):
+    doubled = _underlying_colors(g) * 2
+    assert refine_colors(anti_twinned(g)) == doubled
+    assert refine_colors_by_rounds(anti_twinned(g)) == doubled
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(refinement_inputs())
+def test_anti_twinned_colors_are_the_underlying_colors_doubled(g):
+    _assert_anti_twinned_colors_are_doubled(g)
+
+
+def test_anti_twinned_colors_are_doubled_on_every_small_class():
+    for n in range(6):
+        for g in enumerate_oriented_graphs(n):
+            _assert_anti_twinned_colors_are_doubled(g)
 
 
 def _pinned_pairs():

@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushgraph import (
     GraphError,
@@ -325,6 +327,46 @@ def test_push_orbit_matches_direct_enumeration():
         direct = {canonical_code(push_by_hand(g, [v for v in range(g.n) if bits >> v & 1]))
                   for bits in range(1 << g.n)}
         assert set(push_orbit(g)) == direct
+
+
+@st.composite
+def orbit_cases(draw):
+    """An oriented tree, forest or random graph on at most 7 vertices, a
+    pushed and relabelled copy, and a graph of the same order and arc count."""
+    kind = draw(st.sampled_from(("tree", "forest", "random")))
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    if kind == "random":
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    else:
+        # each vertex hangs from an earlier one; in a forest, perhaps from none
+        low = -1 if kind == "forest" else 0
+        edges = [(draw(st.integers(low, v - 1)), v) for v in range(1, n)]
+        edges = [(u, v) for u, v in edges if u >= 0]
+    other_edges = draw(st.permutations(pairs))[: len(edges)]
+
+    def orient(edges):
+        return OrientedGraph(n, tuple(e if draw(st.booleans()) else e[::-1] for e in edges))
+
+    g = orient(edges)
+    vector = draw(st.sets(st.integers(0, n - 1)))
+    perm = draw(st.permutations(range(n)))
+    return g, push(g, vector).relabel(perm), orient(other_edges)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(orbit_cases())
+def test_push_equivalent_agrees_with_push_orbit(case):
+    # push_orbit canonically codes every push of g and never builds an
+    # anti-twinned graph, so it checks the refutation by base-graph colours
+    g, copy, other = case
+    orbit = push_orbit(g)
+    assert canonical_code(copy) in orbit
+    for h in (copy, other):
+        cert = push_equivalent(g, h)
+        assert (cert is not None) == (canonical_code(h) in orbit)
+        if cert is not None:
+            assert push_by_hand(g, cert.push_vector).relabel(cert.mapping) == h
 
 
 def test_push_vector_file_round_trip():
