@@ -39,34 +39,25 @@ _GENERATORS = {
     "b0": lambda args, seed: families.b0(),
     "y-gadget": lambda args, seed: families.y_gadget(),
     "girth8-witness": lambda args, seed: families.girth8_witness(),
-    "cycle": lambda args, seed: families.directed_cycle(_int_param(args, "cycle <n>")),
-    "path": lambda args, seed: families.oriented_path(_str_param(args, "path <pattern>")),
-    "zielonka": lambda args, seed: families.zielonka(_int_param(args, "zielonka <k>")),
-    "zielonka-half": lambda args, seed: families.zielonka_half(
-        _int_param(args, "zielonka-half <k>")
-    ),
+    "cycle": lambda args, seed: families.directed_cycle(_param(args, "cycle <n>")),
+    "path": lambda args, seed: families.oriented_path(_param(args, "path <pattern>", kind=str)),
+    "zielonka": lambda args, seed: families.zielonka(_param(args, "zielonka <k>")),
+    "zielonka-half": lambda args, seed: families.zielonka_half(_param(args, "zielonka-half <k>")),
     "random-outerplanar": lambda args, seed: families.random_outerplanar(
-        _int_param(args, "random-outerplanar <n> <min-girth>", 0),
-        _int_param(args, "random-outerplanar <n> <min-girth>", 1),
+        _param(args, "random-outerplanar <n> <min-girth>", 0),
+        _param(args, "random-outerplanar <n> <min-girth>", 1),
         seed,
     ),
     "random-sparse": lambda args, seed: families.random_sparse(
-        _int_param(args, "random-sparse <n>"), seed
+        _param(args, "random-sparse <n>"), seed
     ),
 }
 
 
-def _int_param(params: list[str], usage: str, index: int = 0) -> int:
+def _param(params: list[str], usage: str, index: int = 0, kind=int):
     try:
-        return int(params[index])
+        return kind(params[index])
     except (IndexError, ValueError):
-        raise GraphError(f"usage: gen {usage}") from None
-
-
-def _str_param(params: list[str], usage: str, index: int = 0) -> str:
-    try:
-        return params[index]
-    except IndexError:
         raise GraphError(f"usage: gen {usage}") from None
 
 

@@ -13,7 +13,10 @@ completeness is asserted when they are built.
 
 from __future__ import annotations
 
-import hashlib
+try:  # skip hashlib, which maps OpenSSL (about 3.5 MB resident), as random does
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed the module
+    from hashlib import sha256
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -300,7 +303,7 @@ def build_extension_tables() -> ExtensionTables:
         for b in range(3)
         if a != b
     )
-    digest = hashlib.sha256(
+    digest = sha256(
         (repr(sorted(chain.items())) + repr(sorted(branch.items())) + repr(path_ok)).encode()
     ).hexdigest()
     if digest != _EXPECTED_TABLES_SHA256:

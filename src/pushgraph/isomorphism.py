@@ -1,16 +1,17 @@
-"""Digraph isomorphism and canonical codes for desk-scale oriented graphs.
+"""Digraph isomorphism, push equivalence search and canonical codes.
 
-Both routines run degree-pair color refinement first and backtrack only
-inside refined color classes, and never try more than one order of
-structural twins (vertices with equal out- and in-neighbourhoods), which
-keeps exhaustive-quality answers fast at the sizes this package works with.
+Both searches refine colours first and backtrack only inside colour classes.
+One backtracking loop serves is_isomorphic and push_equivalent: it gives
+each vertex of g an image in h and a push bit (always 0 for is_isomorphic),
+reading h through its adjacency lists and an arc set, never n-bit masks.
+No search tries more than one order of twins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graph import GraphError, OrientedGraph
 
@@ -26,19 +27,15 @@ class IsoCertificate:
 
 def is_homomorphism(g: OrientedGraph, h: OrientedGraph, mapping: tuple[int, ...]) -> bool:
     """True iff mapping sends every arc of g onto an arc of h."""
-    if len(mapping) != g.n:
+    if len(mapping) != g.n or any(not (0 <= w < h.n) for w in mapping):
         return False
-    if any(not (0 <= w < h.n) for w in mapping):
-        return False
-    out = h.out_masks
-    return all(out[mapping[u]] >> mapping[v] & 1 for u, v in g.arcs)
+    arcs = set(h.arcs)
+    return all((mapping[u], mapping[v]) in arcs for u, v in g.arcs)
 
 
 def is_isomorphism(g: OrientedGraph, h: OrientedGraph, mapping: tuple[int, ...]) -> bool:
     """True iff mapping is a bijective homomorphism whose inverse also preserves arcs."""
-    if g.n != h.n or len(g.arcs) != len(h.arcs):
-        return False
-    if sorted(mapping) != list(range(g.n)):
+    if g.n != h.n or len(g.arcs) != len(h.arcs) or sorted(mapping) != list(range(g.n)):
         return False
     return is_homomorphism(g, h, mapping)
 
@@ -47,32 +44,23 @@ def refine_colors(g: OrientedGraph) -> tuple[int, ...]:
     """Iterated (out, in)-degree refinement; colors are renumbered canonically.
 
     The final coloring is an isomorphism invariant: corresponding vertices of
-    isomorphic graphs receive equal colors, and colors are dense from 0.
+    isomorphic graphs receive equal colors, and colors are dense from 0.  It
+    is the fixed point of a round that ranks each vertex's signature (color,
+    sorted out-neighbour colors, sorted in-neighbour colors) from all-zero
+    colors, so a class keeps its place and a split takes consecutive places
+    ordered by (out, in) color tuples, by (out, in)-degree in round one.  A
+    class is numbered by its first place, which orders classes as ranks do
+    and renumbers only the later parts of a split.  A class can split only
+    if a member has a neighbour whose number changed in the last round (else
+    its members' tuples are unchanged, and were equal), so each round signs
+    only those dirty classes; ranking the places at the end gives the colors.
 
-    The colors are the fixed point of a round that gives each vertex the rank
-    of its signature (color, sorted out-neighbour colors, sorted in-neighbour
-    colors), starting from all-zero colors.  The old color is the primary
-    key, so a class that does not split keeps its place in the order, and a
-    class that splits takes consecutive places ordered by its members' (out,
-    in) color tuples; the first round's tuples are all zeros and sort as
-    (out-degree, in-degree).  Here a class is numbered by its first place
-    rather than its rank: the two numberings are in the same order, so every
-    tuple comparison and every split is the same, and a split renumbers only
-    the members of its later parts.  A class can split in the next round
-    only if one of its members has an in- or out-neighbour whose number
-    changed in this one: otherwise its members' neighbour tuples are the
-    same as in this round, where they were equal.  Each round therefore
-    signs only the members of those dirty classes, reading arc lists, and
-    the ranks of the places at the fixed point are the colors that signing
-    every vertex in every round gives.
-
-    On anti_twinned(g) the colors are c + c, where c = _underlying_colors(g)
-    refines g's underlying graph.  v -> v' is an automorphism there, so v
-    and v' share a color in every round; and v's out-neighbours N+(v) and
-    N-(v)' and its in-neighbours N-(v) and N+(v)' carry the colors of N(v)
-    twice, so both of v's neighbour color lists are those of N(v).  Each
-    class S + S' then starts at twice the first place of S and splits as S
-    does, so push_equivalent never refines an anti-twinned graph.
+    On anti_twinned(g) the colors are c + c for c = _underlying_colors(g):
+    v -> v' is an automorphism there, so v and v' share a color in every
+    round, and v's out-neighbours N+(v), N-(v)' and in-neighbours N-(v),
+    N+(v)' both carry the colors of N(v).  The anti-twinned colors thus say
+    nothing that c does not, and push_equivalent searches the base graphs
+    with c alone.
     """
     n = g.n
     # ends[v] lists v's out-neighbours w as w and its in-neighbours w as
@@ -142,17 +130,17 @@ def _refine(g: OrientedGraph, ends: Sequence[Sequence[int]], start: list) -> tup
     return tuple(rank[place] for place in colors[:n])
 
 
-def _previous_twins(g: OrientedGraph) -> list[int]:
-    """For each vertex, the largest smaller vertex with the same (out, in)
-    neighbourhood, or -1.
-
-    Such twins are never adjacent, and swapping two of them is an
+def _previous_twins(profiles: Iterable) -> list[int]:
+    """For each vertex, the largest smaller vertex with an equal profile, or
+    -1.  With (out, in) neighbourhoods as profiles these are twins; with
+    the smaller of (out, in) and (in, out), push-twins.  Either kind is never
+    adjacent, and swapping two (pushing both if reversed) is a (push-)
     automorphism that fixes every other vertex.
     """
-    last: dict[tuple[int, int], int] = {}
-    prev = [-1] * g.n
-    for v, profile in enumerate(zip(g.out_masks, g.in_masks)):
-        prev[v] = last.get(profile, -1)
+    last: dict = {}
+    prev = []
+    for v, profile in enumerate(profiles):
+        prev.append(last.get(profile, -1))
         last[profile] = v
     return prev
 
@@ -160,43 +148,51 @@ def _previous_twins(g: OrientedGraph) -> list[int]:
 def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
     """Search for an arc-preserving bijection g -> h.
 
-    Prunes with refined color classes, then backtracks over color-compatible
-    images, checking exact adjacency (both senses) against mapped neighbors.
-    An image w of h is tried only once its previous twin in h (same out- and
-    in-neighbourhood) is used: the swap of two unused twins fixes the partial
-    map, so their subtrees succeed or fail together, and the first
-    certificate found is the one the unpruned search would find.  The search
-    keeps its own stack, so its depth is not bounded by Python's recursion
-    limit.  The returned certificate is re-verified.
+    Refines colors, then backtracks over color-compatible images on its own
+    stack (so Python's recursion limit does not bound it), checking exact
+    adjacency (both senses) against mapped neighbors.  An image is tried
+    only once its previous twin in h is used: swapping two unused twins
+    fixes the partial map, so the first certificate found is the one the
+    unpruned search would find.  The certificate is re-verified.
     """
     if g.n != h.n or len(g.arcs) != len(h.arcs):
         return None
     gcol, hcol = refine_colors(g), refine_colors(h)
     if sorted(gcol) != sorted(hcol):
         return None
-    return _find_isomorphism(g, h, gcol, hcol)
+    found = _find_isomorphism(g, h, gcol, hcol, push=False)
+    if found is not None and not is_isomorphism(g, h, found[0]):
+        raise AssertionError("isomorphism search produced an invalid certificate")
+    return found and IsoCertificate(found[0])
 
 
 def _find_isomorphism(
-    g: OrientedGraph, h: OrientedGraph, gcol: tuple[int, ...], hcol: tuple[int, ...]
-) -> IsoCertificate | None:
-    """The backtracking search of is_isomorphic, given the refined colors of
-    g and h, whose color histograms are equal."""
+    g: OrientedGraph, h: OrientedGraph, gcol: tuple[int, ...], hcol: tuple[int, ...], push: bool
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The backtracking search of is_isomorphic and push_equivalent, given
+    colors of g and h with equal histograms: a mapping of g's vertices into
+    h and a push bit each, such that the mapping is an isomorphism from g,
+    pushed at the vertices of bit 1, onto h.  Without push every bit is 0.
+    """
     n = g.n
     if n == 0:
-        return IsoCertificate(())
+        return (), ()
     h_by_color: dict[int, list[int]] = {}
     for w in range(n):
         h_by_color.setdefault(hcol[w], []).append(w)
-
-    h_out, h_in = h.out_masks, h.in_masks
-    h_twin = _previous_twins(h)
+    h_nbrs = h.adjacency
+    h_arcs = set(h.arcs)
+    ends: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
+    for u, v in h.arcs:
+        ends[u][0].append(v)
+        ends[v][1].append(u)
+    profiles = [(tuple(out), tuple(inn)) for out, inn in ends]
+    h_twin = _previous_twins([min(p, p[::-1]) for p in profiles] if push else profiles)
 
     # pick order: most already-mapped neighbors first; ties by color class
-    # size, then id.  A pick depends only on which vertices are mapped, and at
-    # every node those are the earlier picks, so the order is fixed before
-    # the search.  The lazy heap holds (-mapped neighbors, class size, v); a
-    # vertex's newest entry is its smallest, so its first entry out is current
+    # size, then id.  A pick depends only on the earlier picks, so the order
+    # is fixed before the search.  In the lazy heap of (-mapped neighbors,
+    # class size, v) a vertex's newest entry is its smallest, hence current
     size = [len(h_by_color[c]) for c in gcol]
     heap = sorted((0, size[v], v) for v in range(n))  # a sorted list is a heap
     mapped_nbrs = [0] * n
@@ -212,35 +208,46 @@ def _find_isomorphism(
             if position[u] == -1:
                 mapped_nbrs[u] += 1
                 heappush(heap, (-mapped_nbrs[u], size[u], u))
-    # each vertex's in- and out-neighbors that are mapped when it is picked
-    earlier_ins: list[list[int]] = [[] for _ in range(n)]
-    earlier_outs: list[list[int]] = [[] for _ in range(n)]
+    # the neighbours u of each vertex v mapped before it: (u, 1) for an arc
+    # u -> v and (u, 0) for v -> u
+    earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in g.arcs:
         if position[u] < position[v]:
-            earlier_ins[v].append(u)
+            earlier[v].append((u, 1))
         else:
-            earlier_outs[u].append(v)
+            earlier[u].append((v, 0))
 
     mapping = [-1] * n
-    used_mask = 0
+    bits = [0] * n
+    used = [False] * n
+    used_nbrs = [0] * n  # the used neighbours of each vertex of h
 
     def open_node(k: int) -> list:
-        # the images w of the k-th pick v consistent with the partial map: the
-        # mapped in- and out-neighbors of v must be exactly the used ones of w
+        # the (image, bit) pairs of the k-th pick v, in ascending image: w's
+        # used neighbours are exactly the images of v's mapped ones u, and the
+        # pushed arc uv points into v iff sense ^ bits[u] ^ bit; the first
+        # mapped neighbour fixes the bit, and with none the bit is 0
         v = order[k]
-        img_in = img_out = 0
-        for u in earlier_ins[v]:
-            img_in |= 1 << mapping[u]
-        for u in earlier_outs[v]:
-            img_out |= 1 << mapping[u]
-        cands = [
-            w
-            for w in h_by_color[gcol[v]]
-            if not used_mask >> w & 1
-            and (h_twin[w] == -1 or used_mask >> h_twin[w] & 1)
-            and h_in[w] & used_mask == img_in
-            and h_out[w] & used_mask == img_out
-        ]
+        color, back = gcol[v], earlier[v]
+        if not back:
+            free = [w for w in h_by_color[color] if not used[w] and not used_nbrs[w]]
+            return [v, [(w, 0) for w in free if h_twin[w] == -1 or used[h_twin[w]]], 0]
+        (u, sense), rest = back[0], back[1:]
+        x, flip = mapping[u], sense ^ bits[u]
+        cands = []
+        for w in h_nbrs[x]:
+            if used[w] or hcol[w] != color or used_nbrs[w] != len(back):
+                continue
+            t = flip ^ ((x, w) in h_arcs)
+            if (t and not push) or (h_twin[w] != -1 and not used[h_twin[w]]):
+                continue
+            for u, sense in rest:
+                y = mapping[u]
+                if ((y, w) if sense ^ bits[u] ^ t else (w, y)) not in h_arcs:
+                    break
+            else:
+                cands.append((w, t))
+        cands.sort()
         return [v, cands, 0]
 
     # one [vertex, candidates, next index] frame per assigned or open vertex
@@ -251,24 +258,23 @@ def _find_isomorphism(
         w = mapping[v]
         if w != -1:  # undo the candidate tried last at this node
             mapping[v] = -1
-            used_mask ^= 1 << w
+            used[w] = False
+            for x in h_nbrs[w]:
+                used_nbrs[x] -= 1
         if i == len(cands):
             stack.pop()
             if not stack:
                 return None
             continue
-        w = cands[i]
+        w, bits[v] = cands[i]
         frame[2] = i + 1
         mapping[v] = w
-        used_mask |= 1 << w
+        used[w] = True
+        for x in h_nbrs[w]:
+            used_nbrs[x] += 1
         if len(stack) == n:
-            break
+            return tuple(mapping), tuple(bits)
         stack.append(open_node(len(stack)))
-
-    cert = IsoCertificate(tuple(mapping))
-    if not is_isomorphism(g, h, cert.mapping):
-        raise AssertionError("isomorphism search produced an invalid certificate")
-    return cert
 
 
 def canonical_code(g: OrientedGraph) -> bytes:
@@ -290,7 +296,7 @@ def canonical_code(g: OrientedGraph) -> bytes:
         return b"0|"
     colors = refine_colors(g)
     out, inn = g.out_masks, g.in_masks
-    twin = _previous_twins(g)
+    twin = _previous_twins(zip(out, inn))
 
     order: list[int] = []
     layers: list[int] = []

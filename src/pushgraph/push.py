@@ -4,14 +4,12 @@ and push-invariant pair statistics.
 Pushing a vertex set reverses exactly the arcs with one endpoint inside the
 set.  The anti-twinned graph doubles the vertex set, giving vertex i an
 anti-twin i + n whose incident arcs are all reversed; two oriented graphs are
-push-equivalent exactly when their anti-twinned graphs are isomorphic.  The
-refined colours of anti_twinned(g) are those of g's underlying graph, twice
-over, so push_equivalent refines the base graphs and refutes a pair whose
-colour histograms differ before it builds any anti-twinned graph.  This
-module alone maps anti-twin structure back to the base graph:
-fold_to_push_witness reads a push vector and a mapping off a map into an
-anti-twinned target (push equivalence and push-homomorphism search share it),
-and split_graph rebuilds a graph from an anti-twin split.
+push-equivalent exactly when their anti-twinned graphs are isomorphic;
+push_equivalent decides it on the base graphs, with an image and a push bit
+per vertex.  This module alone maps anti-twin structure back to the base
+graph: repair_isomorphism and fold_to_push_witness (which push-homomorphism
+search uses) read a push vector and a mapping off a map into an anti-twinned
+graph, and split_graph rebuilds a graph from an anti-twin split.
 """
 
 from __future__ import annotations
@@ -136,14 +134,10 @@ def repair_isomorphism(
     v' (that would need f(u) = f(v) or u = v'), so a repaired pair stays
     repaired.  The output is re-verified.
     """
-    return _repair(anti_twinned(g), anti_twinned(h), cert)
-
-
-def _repair(rg: OrientedGraph, rh: OrientedGraph, cert: IsoCertificate) -> IsoCertificate:
-    """repair_isomorphism on the already built anti-twinned graphs rg and rh."""
+    rg, rh = anti_twinned(g), anti_twinned(h)
     if not is_isomorphism(rg, rh, cert.mapping):
         raise GraphError("repair_isomorphism requires an isomorphism of the anti-twinned graphs")
-    n = rg.n // 2
+    n = g.n
     f = list(cert.mapping)
     inverse = [-1] * (2 * n)
     for v, w in enumerate(f):
@@ -164,27 +158,34 @@ def _repair(rg: OrientedGraph, rh: OrientedGraph, cert: IsoCertificate) -> IsoCe
 def push_equivalent(g: OrientedGraph, h: OrientedGraph) -> PushHomWitness | None:
     """Certificate that h is reachable from g by pushing a vertex set, if it is.
 
-    Decides by testing anti_twinned(g) against anti_twinned(h), repairs the
-    isomorphism, folds its base half (a homomorphism g -> anti_twinned(h))
-    into a push vector and mapping, and re-verifies that the mapping is an
-    isomorphism before returning it.  The search runs on the colors c + c,
-    where c refines a base graph's underlying graph: refine_colors shows
-    that these are the refined colors of the anti-twinned graph, so the
-    search and its certificate are those of is_isomorphic, and a pair whose
-    base color histograms differ is refuted before either anti-twinned graph
-    is built.
+    Searches g's vertices for an image in h and a push bit each, on the loop
+    of is_isomorphic (which fixes every bit at 0), and re-verifies that the
+    mapping is an isomorphism from g, pushed where the bit is 1, onto h.  Exact:
+
+    - g and h are push-equivalent iff anti_twinned(g) and anti_twinned(h)
+      are isomorphic, and repair_isomorphism makes any such isomorphism f
+      anti-twin-respecting (f(v') = f(v)').  A respecting f is exactly a
+      pair (push vector, mapping): the v with f(v) primed, and f folded.
+    - Pushing keeps the underlying graph, so its refined colors are
+      invariant under push-isomorphism: an image has its vertex's color.
+    - Under the pick order, a vertex with no mapped neighbour starts a new
+      component, and pushing a whole component changes nothing, so its bit
+      can be 0; any other bit is fixed by its first mapped neighbour's arc.
+    - An image is tried only after its previous push-twin (the same
+      underlying neighbourhood, senses all equal or all reversed) is used:
+      swapping two unused push-twins, pushing both if reversed, is a
+      push-automorphism of h fixing the used vertices that flips the bits
+      of unmapped vertices only, so their subtrees succeed or fail alike.
     """
     if g.n != h.n or len(g.arcs) != len(h.arcs):
         return None
     gcol, hcol = _underlying_colors(g), _underlying_colors(h)
     if sorted(gcol) != sorted(hcol):
         return None
-    rg, rh = anti_twinned(g), anti_twinned(h)
-    found = _find_isomorphism(rg, rh, gcol + gcol, hcol + hcol)
+    found = _find_isomorphism(g, h, gcol, hcol, push=True)
     if found is None:
         return None
-    repaired = _repair(rg, rh, found)
-    witness = fold_to_push_witness(g, h, repaired.mapping[: g.n])
+    witness = PushHomWitness(frozenset(v for v, bit in enumerate(found[1]) if bit), found[0])
     if not is_isomorphism(push(g, witness.push_vector), h, witness.mapping):
         raise AssertionError("push-equivalence witness failed re-verification")
     return witness
@@ -223,9 +224,8 @@ def is_splitable(g: OrientedGraph) -> SplitCertificate | None:
                 return None
             part_one.extend(members)
             part_two.extend(partners)
-        else:
-            if (profile[1], profile[0]) not in classes:
-                return None
+        elif swapped not in classes:
+            return None
     cert = SplitCertificate(tuple(part_one), tuple(part_two))
     _validate_split(g, cert)
     return cert
