@@ -258,8 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="deterministic seed")
         p.add_argument("--json", help="also write the JSON report to this path")
         if budget:
-            p.add_argument("--budget-nodes", type=int, default=10_000_000)
-            p.add_argument("--budget-secs", type=float, default=60.0)
+            p.add_argument("--budget-nodes", type=int, default=SearchBudget.max_nodes)
+            p.add_argument("--budget-secs", type=float, default=SearchBudget.max_seconds)
 
     p = sub.add_parser("gen", help="emit a named graph in the text format")
     p.add_argument("family")
@@ -290,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("push", help="apply a push-vector file to a graph")
     p.add_argument("graph")
     p.add_argument("vector")
-    common(p, budget=False)
     p.set_defaults(func=cmd_push)
 
     p = sub.add_parser("chroma", help="exact chromatic number over tournament targets")

@@ -20,8 +20,8 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .graph import GraphError, OrientedGraph
-from .isomorphism import canonical_code, is_homomorphism
-from .push import PushHomWitness, anti_twinned, fold_to_push_witness, push
+from .isomorphism import _augment, is_homomorphism
+from .push import PushHomWitness, _presentations, anti_twinned, fold_to_push_witness, push
 from .search import SearchBudget, _SearchStatus, _Tracker
 
 
@@ -181,17 +181,11 @@ def find_push_hom(
 def brute_force_push_hom(
     g: OrientedGraph, h: OrientedGraph, budget: SearchBudget | None = None
 ) -> PushHomResult:
-    """Independent oracle: try find_hom from every one of the 2^n presentations.
-
-    Complementary push vectors produce the same presentation, so vectors
-    containing the last vertex are skipped.
-    """
+    """Independent oracle: try find_hom from every presentation of g."""
     if g.n > 16:
         raise GraphError(f"brute_force_push_hom size limit exceeded: n={g.n}")
     tracker = _Tracker(budget)
-    for bits in range(1 << max(g.n - 1, 0)):
-        vector = frozenset(v for v in range(g.n) if bits >> v & 1)
-        presented = push(g, vector)
+    for vector, presented in _presentations(g):
         mapping = find_hom(presented, h, _tracker=tracker).mapping
         if mapping is not None:
             if not is_homomorphism(presented, h, mapping):
@@ -234,16 +228,10 @@ def enumerate_tournaments(k: int) -> tuple[OrientedGraph, ...]:
         raise GraphError(f"tournament enumeration limit exceeded: k={k} > 7")
     if k == 0:
         return (OrientedGraph(0),)
-    classes: dict[bytes, OrientedGraph] = {}
-    for base in enumerate_tournaments(k - 1):
-        new = k - 1
-        for bits in range(1 << new):
-            arcs = list(base.arcs)
-            for i in range(new):
-                arcs.append((i, new) if bits >> i & 1 else (new, i))
-            t = OrientedGraph(k, tuple(arcs))
-            classes.setdefault(canonical_code(t), t)
-    return tuple(classes[code] for code in sorted(classes))
+    new = k - 1
+    return _augment(
+        enumerate_tournaments(new), k, [((new, i), (i, new)) for i in reversed(range(new))]
+    )
 
 
 @dataclass(frozen=True)

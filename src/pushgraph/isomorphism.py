@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
 from .graph import GraphError, OrientedGraph
 
@@ -155,25 +156,26 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
     fixes the partial map, so the first certificate found is the one the
     unpruned search would find.  The certificate is re-verified.
     """
-    if g.n != h.n or len(g.arcs) != len(h.arcs):
-        return None
-    gcol, hcol = refine_colors(g), refine_colors(h)
-    if sorted(gcol) != sorted(hcol):
-        return None
-    found = _find_isomorphism(g, h, gcol, hcol, push=False)
+    found = _find_isomorphism(g, h, refine_colors, push=False)
     if found is not None and not is_isomorphism(g, h, found[0]):
         raise AssertionError("isomorphism search produced an invalid certificate")
     return found and IsoCertificate(found[0])
 
 
 def _find_isomorphism(
-    g: OrientedGraph, h: OrientedGraph, gcol: tuple[int, ...], hcol: tuple[int, ...], push: bool
+    g: OrientedGraph, h: OrientedGraph, colors: Callable, push: bool
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The backtracking search of is_isomorphic and push_equivalent, given
-    colors of g and h with equal histograms: a mapping of g's vertices into
-    h and a push bit each, such that the mapping is an isomorphism from g,
-    pushed at the vertices of bit 1, onto h.  Without push every bit is 0.
+    """The backtracking search of is_isomorphic and push_equivalent, given an
+    invariant coloring (refine_colors or _underlying_colors) that refuses
+    pairs with unequal histograms: a mapping of g's vertices into h and a
+    push bit each, such that the mapping is an isomorphism from g, pushed at
+    the vertices of bit 1, onto h.  Without push every bit is 0.
     """
+    if g.n != h.n or len(g.arcs) != len(h.arcs):
+        return None
+    gcol, hcol = colors(g), colors(h)
+    if sorted(gcol) != sorted(hcol):
+        return None
     n = g.n
     if n == 0:
         return (), ()
@@ -339,3 +341,18 @@ def canonical_code(g: OrientedGraph) -> bytes:
     dfs()
     assert best is not None
     return (f"{n}|" + ",".join(map(str, best))).encode()
+
+
+def _augment(
+    classes: Iterable[OrientedGraph], n: int, alternatives: Sequence[tuple]
+) -> tuple[OrientedGraph, ...]:
+    """The classes on n vertices from those on n - 1, in code order: each
+    tuple of alternatives offers the arcs (None: no arc) between vertex n - 1
+    and one earlier vertex; extensions are tried in product order and the
+    first of each canonical code is kept (McKay, J. Algorithms 1998)."""
+    found: dict[bytes, OrientedGraph] = {}
+    for base in classes:
+        for choice in product(*alternatives):
+            g = OrientedGraph(n, base.arcs + tuple(arc for arc in choice if arc is not None))
+            found.setdefault(canonical_code(g), g)
+    return tuple(found[code] for code in sorted(found))

@@ -15,7 +15,7 @@ graph, and split_graph rebuilds a graph from an anti-twin split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import FormatError, GraphError, OrientedGraph, _bits, emit_graph
 from .isomorphism import (
@@ -59,9 +59,6 @@ class SplitCertificate:
     part_one: tuple[int, ...]
     part_two: tuple[int, ...]
 
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.part_one, self.part_two))
-
 
 @dataclass(frozen=True)
 class PushHomWitness:
@@ -92,6 +89,15 @@ def push(g: OrientedGraph, vertices: Iterable[int]) -> OrientedGraph:
         (v, u) if (u in pushed) != (v in pushed) else (u, v) for u, v in g.arcs
     )
     return OrientedGraph(g.n, arcs)
+
+
+def _presentations(g: OrientedGraph) -> Iterator[tuple[frozenset[int], OrientedGraph]]:
+    """(vector, push(g, vector)) for every push vector avoiding g's last
+    vertex, in binary-count order from the empty one: a set and its
+    complement push g alike, so these are all of g's presentations."""
+    for bits in range(1 << max(g.n - 1, 0)):
+        vector = frozenset(v for v in range(g.n) if bits >> v & 1)
+        yield vector, push(g, vector)
 
 
 def anti_twin(v: int, n: int) -> int:
@@ -177,12 +183,7 @@ def push_equivalent(g: OrientedGraph, h: OrientedGraph) -> PushHomWitness | None
       push-automorphism of h fixing the used vertices that flips the bits
       of unmapped vertices only, so their subtrees succeed or fail alike.
     """
-    if g.n != h.n or len(g.arcs) != len(h.arcs):
-        return None
-    gcol, hcol = _underlying_colors(g), _underlying_colors(h)
-    if sorted(gcol) != sorted(hcol):
-        return None
-    found = _find_isomorphism(g, h, gcol, hcol, push=True)
+    found = _find_isomorphism(g, h, _underlying_colors, push=True)
     if found is None:
         return None
     witness = PushHomWitness(frozenset(v for v, bit in enumerate(found[1]) if bit), found[0])
@@ -334,20 +335,12 @@ def cannot_identify(g: OrientedGraph, x: int, y: int) -> bool:
 def push_orbit(g: OrientedGraph) -> list[bytes]:
     """Sorted canonical codes of every push of g, deduplicated.
 
-    Pushing a set and its complement coincide, so only vectors avoiding
-    the last vertex are enumerated.  Every push has g's order, so g must be
-    within canonical_code's size limit.
+    Every push has g's order, so g must be within canonical_code's size
+    limit.
     """
     if g.n > CANONICAL_SIZE_LIMIT:
         raise GraphError(f"push_orbit limit exceeded: n={g.n} > {CANONICAL_SIZE_LIMIT}")
-    if g.n == 0:
-        return [canonical_code(g)]
-    codes = {canonical_code(g)}
-    for bits in range(1 << (g.n - 1)):
-        vector = [v for v in range(g.n - 1) if bits >> v & 1]
-        if vector:
-            codes.add(canonical_code(push(g, vector)))
-    return sorted(codes)
+    return sorted({canonical_code(pushed) for _, pushed in _presentations(g)})
 
 
 def parse_push_vector(text: str) -> frozenset[int]:

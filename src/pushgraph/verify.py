@@ -22,7 +22,7 @@ from itertools import combinations, permutations, product
 from . import coloring, families, hom
 from .density import max_average_degree
 from .graph import OrientedGraph, emit_graph, underlying_girth
-from .isomorphism import canonical_code, is_homomorphism, is_isomorphic
+from .isomorphism import _augment, canonical_code, is_homomorphism, is_isomorphic
 from .push import (
     agree_disagree,
     anti_twinned,
@@ -40,12 +40,25 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class CheckRecord:
+    """One check's outcome.  refute() records a failing case; calling the
+    record states the detail and whether the rest of the check holds.  Any
+    refutation fails the check, which keeps the first counterexample given."""
+
     id: str
-    status: str  # pass | fail | exhausted-budget
-    detail: str
-    wall_time: float
+    status: str = "pass"  # pass | fail | exhausted-budget
+    detail: str = ""
+    wall_time: float = 0.0
     witness: object | None = None
     counterexample: dict | None = None
+
+    def refute(self, counterexample: dict | None = None) -> None:
+        self.status = "fail"
+        self.counterexample = self.counterexample or counterexample
+
+    def __call__(self, ok: bool, detail: str, witness=None, counterexample=None) -> None:
+        if not ok:
+            self.refute(counterexample)
+        self.detail, self.witness = detail, witness
 
     def to_json(self) -> dict:
         data = {
@@ -90,41 +103,19 @@ class VerdictReport:
 
     @contextmanager
     def check(self, check_id: str):
-        """Time the block and record the _Verdict it yields.  A block that
+        """Time the block and record the CheckRecord it yields.  A block that
         raises InconclusiveSearch is recorded as exhausted-budget, or as fail
         if it had already refuted a case, and the checks after it still run."""
-        verdict = _Verdict()
+        record = CheckRecord(check_id)
         started = time.perf_counter()
         try:
-            yield verdict
+            yield record
         except InconclusiveSearch as exc:
-            if verdict.status == "pass":
-                verdict.status = "exhausted-budget"
-            verdict.detail = str(exc)
-        self.checks.append(
-            CheckRecord(check_id, wall_time=time.perf_counter() - started, **vars(verdict))
-        )
-
-
-@dataclass
-class _Verdict:
-    """One check's outcome.  refute() records a failing case; calling the
-    verdict states the detail and whether the rest of the check holds.  Any
-    refutation fails the check, which keeps the first counterexample given."""
-
-    status: str = "pass"
-    detail: str = ""
-    witness: object | None = None
-    counterexample: dict | None = None
-
-    def refute(self, counterexample: dict | None = None) -> None:
-        self.status = "fail"
-        self.counterexample = self.counterexample or counterexample
-
-    def __call__(self, ok: bool, detail: str, witness=None, counterexample=None) -> None:
-        if not ok:
-            self.refute(counterexample)
-        self.detail, self.witness = detail, witness
+            if record.status == "pass":
+                record.status = "exhausted-budget"
+            record.detail = str(exc)
+        record.wall_time = time.perf_counter() - started
+        self.checks.append(record)
 
 
 @lru_cache(maxsize=None)
@@ -134,19 +125,10 @@ def enumerate_oriented_graphs(n: int) -> tuple[OrientedGraph, ...]:
         raise ValueError("vertex count must be non-negative")
     if n == 0:
         return (OrientedGraph(0),)
-    classes: dict[bytes, OrientedGraph] = {}
     new = n - 1
-    for base in enumerate_oriented_graphs(n - 1):
-        for assignment in product((0, 1, 2), repeat=new):
-            arcs = list(base.arcs)
-            for i, kind in enumerate(assignment):
-                if kind == 1:
-                    arcs.append((i, new))
-                elif kind == 2:
-                    arcs.append((new, i))
-            g = OrientedGraph(n, tuple(arcs))
-            classes.setdefault(canonical_code(g), g)
-    return tuple(classes[code] for code in sorted(classes))
+    return _augment(
+        enumerate_oriented_graphs(new), n, [(None, (i, new), (new, i)) for i in range(new)]
+    )
 
 
 def _all_classes(max_n: int) -> list[OrientedGraph]:

@@ -122,6 +122,20 @@ def test_push_command(tmp_path, capsys):
     assert set(parse_graph(out).arcs) == {(1, 0), (2, 1), (2, 0)}
 
 
+def test_push_takes_no_json_flag(tmp_path, capsys):
+    # push prints a graph, never a JSON report, so --json is a usage error
+    graph_file = tmp_path / "c3.graph"
+    vector_file = tmp_path / "vec.push"
+    graph_file.write_text(emit_graph(directed_cycle(3)))
+    vector_file.write_text("push 1\nv 1\n")
+    report = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["push", str(graph_file), str(vector_file), "--json", str(report)])
+    assert exc.value.code == 2
+    assert not report.exists()
+    assert "--json" in capsys.readouterr().err
+
+
 def test_chroma_values(tmp_path, capsys):
     path = tmp_path / "c9.graph"
     path.write_text(emit_graph(directed_cycle(9)))

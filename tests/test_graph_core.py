@@ -20,6 +20,7 @@ from pushgraph import (
 )
 from pushgraph.coloring import color_outerplanar_g5, discharge_audit, push_color_to_paley
 from pushgraph.density import mad_less_than
+from pushgraph.push import parse_push_vector
 from pushgraph.families import (
     b0,
     directed_cycle,
@@ -305,6 +306,26 @@ def test_parse_comments_and_blanks():
 def test_parse_errors_carry_context(text, fragment):
     with pytest.raises(FormatError, match=fragment):
         parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, fragment, line_no",
+    [
+        (parse_graph, "oriented x\n", "bad vertex count", 1),
+        (parse_graph, "oriented -1\n", "negative vertex count", 1),
+        (parse_graph, "oriented 2\na 0 b\n", "non-integer endpoint", 2),
+        (parse_graph, "oriented 3\na 0 0\nb 1\n", "loop", 2),
+        (parse_push_vector, "# comment\npush\n", "expected header", 2),
+        (parse_push_vector, "push y\n", "bad vertex count", 1),
+        (parse_push_vector, "push 1\nw 3\n", "expected vertex line", 2),
+        (parse_push_vector, "push 1\nv x\n", "non-integer vertex", 2),
+        (parse_push_vector, "# comment only\n", "missing 'push <k>' header", None),
+    ],
+)
+def test_format_errors_name_the_first_bad_line(parse, text, fragment, line_no):
+    with pytest.raises(FormatError, match=fragment) as exc:
+        parse(text)
+    assert exc.value.line_no == line_no
 
 
 def test_parse_error_line_number():

@@ -53,6 +53,46 @@ def test_one_push_witness_type_and_fold():
     assert hom.fold_to_push_witness is push.fold_to_push_witness
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _called_names(func) -> set[str]:
+    return {
+        node.func.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_one_class_augmentation():
+    for module, name in (("hom", "enumerate_tournaments"), ("verify", "enumerate_oriented_graphs")):
+        called = _called_names(_function(module, name))
+        assert "_augment" in called and "canonical_code" not in called, f"{module}.{name}"
+
+
+def test_one_push_presentation_walk():
+    for module, name in (("push", "push_orbit"), ("hom", "brute_force_push_hom")):
+        func = _function(module, name)
+        shifted_ranges = [
+            node
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "range"
+            and any(isinstance(b, ast.BinOp) and isinstance(b.op, ast.LShift) for b in ast.walk(node))
+        ]
+        assert not shifted_ranges, f"{module}.{name} walks push vectors itself"
+        assert "_presentations" in _called_names(func), f"{module}.{name}"
+
+
+def test_one_check_record():
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert "CheckRecord" in classes and "_Verdict" not in classes
+
+
 def test_search_contract_lives_in_one_leaf_module():
     tree = ast.parse((PACKAGE / "search.py").read_text())
     assert set(_relative_imports(tree)) == {"graph"}
