@@ -16,7 +16,6 @@ from pathlib import Path
 from . import coloring, families, hom, verify
 from .graph import FormatError, GraphError, OrientedGraph, emit_graph, parse_graph
 from .push import (
-    emit_push_vector,
     is_splitable,
     parse_push_vector,
     push,
@@ -188,6 +187,7 @@ def cmd_color(args) -> int:
     g = _load_graph(args.graph)
     if args.audit:
         report = coloring.discharge_audit(g)
+        minimum = report.min_modified_degree
         rows = [
             {"vertex": r.vertex, "degree": r.degree, "degStar": str(r.modified_degree)}
             for r in report.rows
@@ -195,7 +195,7 @@ def cmd_color(args) -> int:
         _emit_json(
             {
                 "audit": rows,
-                "minDegStar": str(report.min_modified_degree),
+                "minDegStar": None if minimum is None else str(minimum),
                 "meetsEightThirds": report.meets_eight_thirds,
             },
             args,

@@ -1,14 +1,15 @@
 """Constructive push-colorings of sparse graphs.
 
-Two pipelines: an exact dynamic program that pushes path interiors into the
-directed triangle (the outerplanar girth-5 machinery), and a reduce/extend
-colorer into the apex-triangle target for graphs whose maximum average degree
-is below 8/3.  The reducible configurations are (i) a vertex of degree at
+Outerplanar girth-5 graphs are colored into the directed triangle by the
+push-homomorphism solver run against the anti-twinned triangle.  Graphs whose
+maximum average degree is below 8/3 are colored into the apex-triangle target
+by reduce/extend.  The reducible configurations are (i) a vertex of degree at
 most one, (ii) two adjacent degree-2 vertices, (iii) a degree-3 vertex with
 two degree-2 neighbors.  _SHAPES states each configuration's deleted arcs
-once; it orders the senses of a located configuration and the keys into the
-exhaustively enumerated extension tables for (ii) and (iii), whose
-completeness is asserted when they are built.
+once; it orders the senses of a located configuration and drives the one
+builder of all three exhaustive extension tables, whose completeness is
+asserted when they are built.  The exact path dynamic program into the
+directed triangle serves the verify suites and the tables' path check.
 """
 
 from __future__ import annotations
@@ -105,6 +106,15 @@ _SHAPES = {
     ConfigKind.DEGREE_AT_MOST_ONE: ((0, 1),),
     ConfigKind.ADJACENT_DEGREE_TWO_PAIR: ((0, 2), (2, 3), (3, 1)),
     ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO: ((0, 3), (3, 5), (1, 4), (4, 5), (2, 5)),
+}
+
+# each kind's answer positions (square pushes, then square colors) from the
+# outermost search loop in; a table keeps the first answer per key, so this
+# order is part of the pinned tables (the degree-3 search starts at the centre)
+_SEARCH_ORDER = {
+    ConfigKind.DEGREE_AT_MOST_ONE: (0, 1),
+    ConfigKind.ADJACENT_DEGREE_TWO_PAIR: (0, 1, 2, 3),
+    ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO: (2, 5, 0, 3, 1, 4),
 }
 
 
@@ -225,22 +235,52 @@ def discharge_audit(g: OrientedGraph) -> DischargeReport:
 
 @dataclass(frozen=True)
 class ExtensionTables:
-    """Exhaustively enumerated extension data for configurations (ii) and (iii).
+    """Exhaustively enumerated extension data for every reducible configuration.
 
-    chain maps (anchor colors, three senses) of a deleted degree-2 pair to
-    (pushes, colors); branch does the same for the degree-3 configuration
-    with five senses.  Missing keys would refute the configuration analysis,
-    so completeness is asserted at build time.
+    by_kind maps each ConfigKind to its table: (anchor colors, one sense per
+    _SHAPES arc) -> (square pushes, square colors).  Missing keys would refute
+    the configuration analysis, so completeness is asserted at build time.
     """
 
-    chain: dict
-    branch: dict
+    by_kind: dict
     c3_length4_distinct_ends_complete: bool
     sha256: str
 
 
 def _arc_ok(target: OrientedGraph, a: int, b: int, sense: int) -> bool:
     return target.has_arc(a, b) if sense else target.has_arc(b, a)
+
+
+def _extension_table(target: OrientedGraph, kind: ConfigKind) -> dict:
+    """Map every key of the kind to the first answer, in _SEARCH_ORDER, that
+    satisfies every arc of its _SHAPES entry; raise on a key left empty."""
+    shape, order = _SHAPES[kind], _SEARCH_ORDER[kind]
+    squares = len(order) // 2
+    anchors = max(map(max, shape)) + 1 - squares
+    # sense[a][b]: the one sense under which colors a, b satisfy an arc, or None
+    sense = [
+        [next((s for s in (0, 1) if _arc_ok(target, a, b, s)), None) for b in range(target.n)]
+        for a in range(target.n)
+    ]
+    domains = [(0, 1)] * squares + [range(target.n)] * squares
+    place = [order.index(i) for i in range(len(order))]
+    answers = [tuple(values[j] for j in place) for values in product(*(domains[i] for i in order))]
+    table: dict = {}
+    for colors in product(range(target.n), repeat=anchors):
+        for hit in answers:
+            points, pushed = colors + hit[squares:], (0,) * anchors + hit[:squares]
+            key = list(colors)
+            for a, b in shape:
+                s = sense[points[a]][points[b]]
+                if s is None:
+                    break
+                key.append(s ^ pushed[a] ^ pushed[b])
+            else:
+                table.setdefault(tuple(key), hit)
+    for key in product(*([range(target.n)] * anchors), *([(0, 1)] * len(shape))):
+        if key not in table:
+            raise CounterexampleFound(f"no extension for {kind.value}: key {key}")
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -250,52 +290,7 @@ def build_extension_tables() -> ExtensionTables:
     An unsolvable key is reported as a contradiction, never patched.
     """
     target = paley_plus()
-    chain: dict = {}
-    for cu1, cu2, s1, s2, s3 in product(range(4), range(4), (0, 1), (0, 1), (0, 1)):
-        hit = None
-        for p1, p2, g1, g2 in product((0, 1), (0, 1), range(4), range(4)):
-            if (
-                _arc_ok(target, cu1, g1, s1 ^ p1)
-                and _arc_ok(target, g1, g2, s2 ^ p1 ^ p2)
-                and _arc_ok(target, g2, cu2, s3 ^ p2)
-            ):
-                hit = (p1, p2, g1, g2)
-                break
-        if hit is None:
-            raise CounterexampleFound(
-                f"no extension for two adjacent degree-2 vertices: key {(cu1, cu2, s1, s2, s3)}"
-            )
-        chain[(cu1, cu2, s1, s2, s3)] = hit
-    branch: dict = {}
-    for key in product(range(4), range(4), range(4), *([(0, 1)] * 5)):
-        c1, c2, c3_, t1, t2, t3, t4, t5 = key
-        hit = None
-        for p3, g3 in product((0, 1), range(4)):
-            if not _arc_ok(target, c3_, g3, t5 ^ p3):
-                continue
-            for p1, g1 in product((0, 1), range(4)):
-                if (
-                    _arc_ok(target, c1, g1, t1 ^ p1)
-                    and _arc_ok(target, g1, g3, t2 ^ p1 ^ p3)
-                ):
-                    break
-            else:
-                continue
-            for p2, g2 in product((0, 1), range(4)):
-                if (
-                    _arc_ok(target, c2, g2, t3 ^ p2)
-                    and _arc_ok(target, g2, g3, t4 ^ p2 ^ p3)
-                ):
-                    break
-            else:
-                continue
-            hit = (p1, p2, p3, g1, g2, g3)
-            break
-        if hit is None:
-            raise CounterexampleFound(
-                f"no extension for the degree-3 configuration: key {key}"
-            )
-        branch[key] = hit
+    by_kind = {kind: _extension_table(target, kind) for kind in ConfigKind}
     path_ok = all(
         path_extend_to_c3([bool(bits >> i & 1) for i in range(4)], a, b) is not None
         for bits in range(16)
@@ -303,15 +298,15 @@ def build_extension_tables() -> ExtensionTables:
         for b in range(3)
         if a != b
     )
-    digest = sha256(
-        (repr(sorted(chain.items())) + repr(sorted(branch.items())) + repr(path_ok)).encode()
-    ).hexdigest()
+    # the pinned digest covers the tables of (ii) and (iii), not of (i)
+    pinned = [repr(sorted(table.items())) for table in list(by_kind.values())[1:]]
+    digest = sha256(("".join(pinned) + repr(path_ok)).encode()).hexdigest()
     if digest != _EXPECTED_TABLES_SHA256:
         raise CounterexampleFound(
             "extension tables changed: digest "
             f"{digest} does not match the pinned {_EXPECTED_TABLES_SHA256}"
         )
-    return ExtensionTables(chain, branch, path_ok, digest)
+    return ExtensionTables(by_kind, path_ok, digest)
 
 
 # -- the sparse colorer -------------------------------------------------------
@@ -355,35 +350,25 @@ def push_color_to_paley(g: OrientedGraph) -> ColoringCertificate:
     colors: dict[int, int] = {}
     pushes: dict[int, int] = {}
     for cfg in reversed(trace):
-        _extend(cfg, colors, pushes, tables, target)
+        _extend(cfg, colors, pushes, tables)
     mapping = tuple(colors[v] for v in range(g.n))
     vector = frozenset(v for v in range(g.n) if pushes[v])
     witness = PushHomWitness(vector, mapping)
     return ColoringCertificate(g, target, witness, tuple(trace))
 
 
-def _extend(cfg, colors, pushes, tables, target) -> None:
-    if cfg.kind is ConfigKind.DEGREE_AT_MOST_ONE:
+def _extend(cfg, colors, pushes, tables) -> None:
+    if not cfg.anchors:  # a lone vertex
         (v,) = cfg.squares
-        if not cfg.anchors:
-            colors[v], pushes[v] = 0, 0
-            return
-        (u,) = cfg.anchors
-        base = cfg.senses[0] ^ pushes[u]
-        for p in (0, 1):
-            for col in range(4):
-                if _arc_ok(target, colors[u], col, base ^ p):
-                    colors[v], pushes[v] = col, p
-                    return
-        raise AssertionError("degree-one extension must always succeed")
+        colors[v], pushes[v] = 0, 0
+        return
     # key: anchor colours, then each sense XOR the pushes of its anchor ends;
     # the squares' pushes are the table's answer, so they count as 0 here
     anchor_pushes = [pushes[u] for u in cfg.anchors] + [0] * len(cfg.squares)
-    key = tuple(colors[u] for u in cfg.anchors) + tuple(
+    key = [colors[u] for u in cfg.anchors] + [
         s ^ anchor_pushes[a] ^ anchor_pushes[b] for s, (a, b) in zip(cfg.senses, _SHAPES[cfg.kind])
-    )
-    table = tables.chain if cfg.kind is ConfigKind.ADJACENT_DEGREE_TWO_PAIR else tables.branch
-    hit = table[key]
+    ]
+    hit = tables.by_kind[cfg.kind][tuple(key)]
     for i, v in enumerate(cfg.squares):
         pushes[v], colors[v] = hit[i], hit[len(cfg.squares) + i]
 

@@ -11,13 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .density import mad_less_than
 from .graph import GraphError, OrientedGraph, _bits, underlying_girth
 from .push import SplitCertificate, agree_disagree, cannot_identify, in_common_uc4, split_graph
-
-PathPattern = Sequence[bool]
 
 # random_sparse redraws a candidate failing the density check at most this often
 SPARSE_RESAMPLES = 50

@@ -556,8 +556,6 @@ def nine_tournament_constraint_search(enforce_pairs: bool = True) -> dict:
     return stats
 
 
-
-
 # -- girth8 -------------------------------------------------------------------
 
 
@@ -602,14 +600,15 @@ def suite_girth8_upper(
     with suite.check("girth8/extension-tables") as verdict:
         try:
             tables = coloring.build_extension_tables()
+            _, chain, branch = tables.by_kind.values()
             ok = (
-                len(tables.chain) == 128
-                and len(tables.branch) == 2048
+                len(chain) == 128
+                and len(branch) == 2048
                 and tables.c3_length4_distinct_ends_complete
             )
             detail = (
-                f"chain table {len(tables.chain)}/128 keys, branch table "
-                f"{len(tables.branch)}/2048 keys (all 64 colorings solvable under every "
+                f"chain table {len(chain)}/128 keys, branch table "
+                f"{len(branch)}/2048 keys (all 64 colorings solvable under every "
                 f"arc pattern), triangle path table complete; sha256 {tables.sha256[:16]}..."
             )
         except coloring.CounterexampleFound as exc:

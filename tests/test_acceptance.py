@@ -8,6 +8,7 @@ import time
 from itertools import combinations
 
 from pushgraph import (
+    ConfigKind,
     SearchBudget,
     build_extension_tables,
     cannot_identify,
@@ -100,7 +101,8 @@ def test_criterion_09_girth8_upper_bound_machinery():
     # configuration), 100 verified sparse colorings up to 500 vertices, and
     # the discharge contrapositive
     tables = build_extension_tables()
-    assert len(tables.branch) == 2048  # 64 colorings x 32 arc patterns
+    branch = tables.by_kind[ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO]
+    assert len(branch) == 2048  # 64 colorings x 32 arc patterns
     _run("criterion-09", "girth8-upper", count=100, max_n=500, seed=0)
 
 

@@ -177,6 +177,17 @@ def test_color_sparse_and_audit(tmp_path, capsys):
     assert audit["meetsEightThirds"] is False
 
 
+def test_audit_of_empty_graph_has_null_minimum(tmp_path, capsys):
+    path = tmp_path / "empty.graph"
+    path.write_text("oriented 0\n")
+    code, out, _ = run_cli(capsys, "color", "sparse", str(path), "--audit")
+    assert code == 0
+    audit = json.loads(out)
+    assert audit["audit"] == []
+    assert audit["minDegStar"] is None
+    assert audit["meetsEightThirds"] is True
+
+
 def test_color_outerplanar(tmp_path, capsys):
     from pushgraph.families import random_outerplanar
 

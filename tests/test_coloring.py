@@ -7,6 +7,7 @@ import pytest
 
 from pushgraph import (
     ConfigKind,
+    CounterexampleFound,
     GraphError,
     InconclusiveSearch,
     OrientedGraph,
@@ -22,6 +23,7 @@ from pushgraph import (
     push_chromatic_number,
     two_step_neighborhoods,
 )
+from pushgraph import coloring
 from pushgraph.coloring import _EXPECTED_TABLES_SHA256, _SHAPES, _arc_ok, _reductions
 from pushgraph.families import (
     c3,
@@ -223,21 +225,19 @@ def test_discharge_on_config_free_graph_meets_bound():
 
 def test_extension_tables_complete_and_pinned():
     tables = build_extension_tables()
-    assert len(tables.chain) == 4 * 4 * 8
-    assert len(tables.branch) == 4 * 4 * 4 * 32
+    assert len(tables.by_kind[ConfigKind.ADJACENT_DEGREE_TWO_PAIR]) == 4 * 4 * 8
+    assert len(tables.by_kind[ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO]) == 4 * 4 * 4 * 32
     assert tables.c3_length4_distinct_ends_complete
     assert tables.sha256 == _EXPECTED_TABLES_SHA256
 
 
 def test_shapes_agree_with_extension_tables():
-    # the tables' searches state each shape a second time; every entry must
-    # satisfy every arc of the kind's _SHAPES entry under the key's senses
+    # every entry of every kind's table must satisfy every arc of the kind's
+    # _SHAPES entry under the key's senses, read here without _SEARCH_ORDER
     tables = build_extension_tables()
     target = paley_plus()
-    for kind, table in (
-        (ConfigKind.ADJACENT_DEGREE_TWO_PAIR, tables.chain),
-        (ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO, tables.branch),
-    ):
+    assert set(tables.by_kind) == set(ConfigKind)
+    for kind, table in tables.by_kind.items():
         shape = _SHAPES[kind]
         for key, hit in table.items():
             anchors, squares = len(key) - len(shape), len(hit) // 2
@@ -245,6 +245,20 @@ def test_shapes_agree_with_extension_tables():
             pushed = (0,) * anchors + hit[:squares]
             for (a, b), sense in zip(shape, key[anchors:]):
                 assert _arc_ok(target, colours[a], colours[b], sense ^ pushed[a] ^ pushed[b])
+
+
+def test_extension_tables_refuse_a_target_that_cannot_extend(monkeypatch):
+    # into the directed triangle, no pushes extend a degree-2 pair between
+    # anchors coloured 0 and 1 under senses (0, 0, 1): the builder names the
+    # kind and the first key left empty instead of returning a partial table
+    monkeypatch.setattr(coloring, "paley_plus", c3)
+    build_extension_tables.cache_clear()
+    try:
+        with pytest.raises(CounterexampleFound) as refused:
+            build_extension_tables()
+    finally:
+        build_extension_tables.cache_clear()
+    assert refused.value.detail == "no extension for adjacent-degree-two-pair: key (0, 1, 0, 0, 1)"
 
 
 def test_color_directed_nine_cycle():

@@ -93,6 +93,41 @@ def test_one_check_record():
     assert "CheckRecord" in classes and "_Verdict" not in classes
 
 
+def _module_level_imports(tree):
+    """Each name a module-level import binds, also inside a module-level try."""
+    for node in tree.body:
+        block = [node]
+        if isinstance(node, ast.Try):
+            block = node.body + node.orelse + node.finalbody
+            block += [stmt for handler in node.handlers for stmt in handler.body]
+        for stmt in block:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_module_level_import_is_used():
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(set(_module_level_imports(tree)) - used)
+        assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def test_extension_names_no_config_kind_member():
+    # every configuration is extended through the same table lookup, and every
+    # table is built by the same _SHAPES-driven step
+    members = set(coloring.ConfigKind.__members__)
+    for name in ("_extend", "build_extension_tables"):
+        func = _function("coloring", name)
+        named = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+        assert not named & members, f"coloring.{name} names {sorted(named & members)}"
+
+
 def test_search_contract_lives_in_one_leaf_module():
     tree = ast.parse((PACKAGE / "search.py").read_text())
     assert set(_relative_imports(tree)) == {"graph"}
