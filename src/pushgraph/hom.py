@@ -188,8 +188,6 @@ def brute_force_push_hom(
     for vector, presented in _presentations(g):
         mapping = find_hom(presented, h, _tracker=tracker).mapping
         if mapping is not None:
-            if not is_homomorphism(presented, h, mapping):
-                raise AssertionError("brute-force witness failed re-verification")
             witness = PushHomWitness(vector, mapping)
             return PushHomResult(witness, True, tracker.nodes, tracker.seconds)
         if tracker.exhausted:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .graph import GraphError, OrientedGraph
 
@@ -156,23 +156,24 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
     fixes the partial map, so the first certificate found is the one the
     unpruned search would find.  The certificate is re-verified.
     """
-    found = _find_isomorphism(g, h, refine_colors, push=False)
+    found = _find_isomorphism(g, h, push=False)
     if found is not None and not is_isomorphism(g, h, found[0]):
         raise AssertionError("isomorphism search produced an invalid certificate")
     return found and IsoCertificate(found[0])
 
 
 def _find_isomorphism(
-    g: OrientedGraph, h: OrientedGraph, colors: Callable, push: bool
+    g: OrientedGraph, h: OrientedGraph, push: bool
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The backtracking search of is_isomorphic and push_equivalent, given an
-    invariant coloring (refine_colors or _underlying_colors) that refuses
-    pairs with unequal histograms: a mapping of g's vertices into h and a
-    push bit each, such that the mapping is an isomorphism from g, pushed at
-    the vertices of bit 1, onto h.  Without push every bit is 0.
+    """The backtracking search of is_isomorphic and push_equivalent, under an
+    invariant coloring (_underlying_colors with push, else refine_colors)
+    that refuses pairs with unequal histograms: a mapping of g's vertices
+    into h and a push bit each, such that the mapping is an isomorphism from
+    g, pushed at the vertices of bit 1, onto h.  Without push every bit is 0.
     """
     if g.n != h.n or len(g.arcs) != len(h.arcs):
         return None
+    colors = _underlying_colors if push else refine_colors
     gcol, hcol = colors(g), colors(h)
     if sorted(gcol) != sorted(hcol):
         return None

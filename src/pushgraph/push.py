@@ -19,10 +19,8 @@ from typing import Iterable, Iterator
 
 from .graph import FormatError, GraphError, OrientedGraph, _bits, emit_graph
 from .isomorphism import (
-    CANONICAL_SIZE_LIMIT,
     IsoCertificate,
     _find_isomorphism,
-    _underlying_colors,
     canonical_code,
     is_homomorphism,
     is_isomorphism,
@@ -183,7 +181,7 @@ def push_equivalent(g: OrientedGraph, h: OrientedGraph) -> PushHomWitness | None
       push-automorphism of h fixing the used vertices that flips the bits
       of unmapped vertices only, so their subtrees succeed or fail alike.
     """
-    found = _find_isomorphism(g, h, _underlying_colors, push=True)
+    found = _find_isomorphism(g, h, push=True)
     if found is None:
         return None
     witness = PushHomWitness(frozenset(v for v, bit in enumerate(found[1]) if bit), found[0])
@@ -338,15 +336,13 @@ def push_orbit(g: OrientedGraph) -> list[bytes]:
     Every push has g's order, so g must be within canonical_code's size
     limit.
     """
-    if g.n > CANONICAL_SIZE_LIMIT:
-        raise GraphError(f"push_orbit limit exceeded: n={g.n} > {CANONICAL_SIZE_LIMIT}")
     return sorted({canonical_code(pushed) for _, pushed in _presentations(g)})
 
 
 def parse_push_vector(text: str) -> frozenset[int]:
-    """Parse the push-vector format: `push <k>` then k lines `v <id>`."""
+    """Parse the push-vector format: `push <k>` then k lines `v <id>`, one per vertex."""
     count: int | None = None
-    vertices: list[int] = []
+    vertices: set[int] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -359,13 +355,18 @@ def parse_push_vector(text: str) -> frozenset[int]:
                 count = int(fields[1])
             except ValueError:
                 raise FormatError(f"bad vertex count {fields[1]!r}", line_no) from None
+            if count < 0:
+                raise FormatError(f"negative vertex count {count}", line_no)
             continue
         if fields[0] != "v" or len(fields) != 2:
             raise FormatError(f"expected vertex line 'v <id>', got {line!r}", line_no)
         try:
-            vertices.append(int(fields[1]))
+            v = int(fields[1])
         except ValueError:
             raise FormatError(f"non-integer vertex in {line!r}", line_no) from None
+        if v in vertices:
+            raise FormatError(f"duplicate vertex {v}", line_no)
+        vertices.add(v)
     if count is None:
         raise FormatError("missing 'push <k>' header")
     if count != len(vertices):

@@ -193,6 +193,16 @@ def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
 # -- lemma-split --------------------------------------------------------------
 
 
+def _reduction_agrees(verdict: CheckRecord, pairs, budget: SearchBudget | None) -> None:
+    """Refute each (source, target) pair on which the anti-twin reduction and
+    the brute force over presentations disagree about a push homomorphism."""
+    for g, h in pairs:
+        reduced = require_complete(hom.find_push_hom(g, h, budget))
+        brute = require_complete(hom.brute_force_push_hom(g, h, budget))
+        if (reduced.witness is None) != (brute.witness is None):
+            verdict.refute({"graphs": [emit_graph(g), emit_graph(h)]})
+
+
 def suite_lemma_split(
     max_n: int = 5, max_tgt: int = 3, budget: SearchBudget | None = None
 ) -> VerdictReport:
@@ -201,11 +211,7 @@ def suite_lemma_split(
     with suite.check("split/reduction-vs-brute") as verdict:
         sources = _all_classes(max_n)
         targets = _all_classes(max_tgt)
-        for g, h in product(sources, targets):
-            reduced = require_complete(hom.find_push_hom(g, h, budget))
-            brute = require_complete(hom.brute_force_push_hom(g, h, budget))
-            if (reduced.witness is None) != (brute.witness is None):
-                verdict.refute({"graphs": [emit_graph(g), emit_graph(h)]})
+        _reduction_agrees(verdict, product(sources, targets), budget)
         verdict(
             True,
             f"{len(sources) * len(targets)} (source, target) pairs agree "
@@ -372,16 +378,6 @@ def suite_zielonka() -> VerdictReport:
                 iso is not None,
                 "independent isomorphism search confirms the transversal half",
             )
-    with suite.check("zielonka/weight-split-report") as verdict:
-        reports = [families.zielonka_weight_split_report(k) for k in range(2, 6)]
-        verdict(
-            True,
-            "informational: weight-threshold split status per k: "
-            + "; ".join(
-                f"k={r['k']}: equal_halves={r['equal_halves']}" for r in reports
-            ),
-            witness=reports,
-        )
     return suite
 
 
@@ -416,9 +412,8 @@ def suite_gadgets_p3(budget: SearchBudget | None = None) -> VerdictReport:
         pairs_ok = all(
             cannot_identify(gadget, x, y) for x, y in combinations(range(8), 2)
         )
-        self_color = is_homomorphism(gadget, gadget, tuple(range(8)))
         verdict(
-            pairs_ok and self_color,
+            pairs_ok,
             "all 28 vertex pairs are non-identifiable and the identity colors the "
             "gadget with 8 colors, so its push chromatic number is exactly 8",
         )
@@ -437,32 +432,21 @@ def suite_gadgets_p3(budget: SearchBudget | None = None) -> VerdictReport:
         stats_x = agree_disagree(y, 0, 1)
         stats_y = agree_disagree(y, 0, 2)
         ok = stats_x.max_count >= 4 and stats_y.max_count >= 4
+        res = require_complete(hom.push_chromatic_number(y, max_k=5, budget=budget))
+        refused = sum(len(hom.enumerate_tournaments(k)) for k in range(1, 6))
         detail = (
             "gadget constructed with validated 5-cycles; identity images give "
-            f"max agree/disagree {stats_x.max_count} and {stats_y.max_count} (>= 4)"
+            f"max agree/disagree {stats_x.max_count} and {stats_y.max_count} (>= 4); "
+            f"all {refused} tournaments on <= 5 vertices refused (forced >= 4 common neighbors)"
         )
-        refused = 0
-        for k in range(1, 6):
-            for t in hom.enumerate_tournaments(k):
-                if require_complete(hom.find_push_hom(y, t, budget)).witness is None:
-                    refused += 1
-                else:
-                    ok = False
-                    detail = f"unexpected push-homomorphism into a {k}-vertex tournament"
-        verdict(
-            ok,
-            detail
-            + f"; all {refused} tournaments on <= 5 vertices refused (forced >= 4 common neighbors)",
-        )
+        if res.value is not None:
+            detail = f"unexpected push-homomorphism into a {res.value}-vertex tournament"
+        verdict(ok and res.value is None, detail)
 
     with suite.check("gadgets/reduction-vs-brute-on-gadget") as verdict:
         y = families.y_gadget()
-        for k in range(0, 4):
-            for t in hom.enumerate_tournaments(k):
-                reduced = require_complete(hom.find_push_hom(y, t, budget))
-                brute = require_complete(hom.brute_force_push_hom(y, t, budget))
-                if (reduced.witness is None) != (brute.witness is None):
-                    verdict.refute({"graphs": [emit_graph(y), emit_graph(t)]})
+        targets = [t for k in range(4) for t in hom.enumerate_tournaments(k)]
+        _reduction_agrees(verdict, product([y], targets), budget)
         verdict(
             True,
             "anti-twin reduction and presentation enumeration agree on all small targets",

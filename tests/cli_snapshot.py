@@ -9,13 +9,14 @@ compare them with `diff -r` to show that a change keeps every CLI output
 byte-identical.  pytest does not collect this file (its name lacks test_).
 
 The list: the ten verify suites at default options, with --budget-nodes 1 and
-with --budget-nodes 40; hom, chroma and color where a witness is found, where
-none exists and where the budget runs out; color outerplanar5 on 4000
-vertices, a deep solver search; color sparse on 9, 300, 2000 and
-20000 vertices, with and without --audit; equiv on a 9-cycle, and on a
-128-vertex sparse graph against a pushed and relabelled copy, a double-edge
-swap with the same in- and out-degrees, a copy with one cycle arc reversed
-and a copy with one arc fewer; split and push; and every gen family.
+with --budget-nodes 40, and gadgets-p3 with --budget-nodes 100; hom, chroma
+and color where a witness is found, where none exists and where the budget
+runs out; color outerplanar5 on 4000 vertices, a deep solver search; color
+sparse on 9, 300, 2000 and 20000 vertices, with and without --audit; equiv on
+a 9-cycle, and on a 128-vertex sparse graph against a pushed and relabelled
+copy, a double-edge swap with the same in- and out-degrees, a copy with one
+cycle arc reversed and a copy with one arc fewer; split; push with a vector
+file and with one that lists a vertex twice; and every gen family.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ def write_inputs(tmp: Path) -> dict[str, str]:
         Path(paths[name]).write_text(emit_graph(g), encoding="utf-8")
     paths["vector"] = str(tmp / "vector.push")
     Path(paths["vector"]).write_text("push 3\nv 0\nv 2\nv 5\n", encoding="utf-8")
+    paths["vector-repeated"] = str(tmp / "vector-repeated.push")
+    Path(paths["vector-repeated"]).write_text("push 2\nv 1\nv 1\n", encoding="utf-8")
     return paths
 
 
@@ -145,6 +148,8 @@ def commands(p: dict[str, str]) -> dict[str, list[str]]:
         "equiv-s128-arcs": ["equiv", p["s128"], p["s128-less"]],
         "split": ["split", p["uc4"]],
         "push": ["push", p["w"], p["vector"]],
+        "push-repeated-vertex": ["push", p["w"], p["vector-repeated"]],
+        "verify-gadgets-p3-budget100": ["verify", "gadgets-p3", "--budget-nodes", "100"],
     })
     for n in (9, 300, 2000, 20000):
         cmds[f"color-sparse-{n}"] = ["color", "sparse", p[f"s{n}"]]

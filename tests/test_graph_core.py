@@ -320,6 +320,8 @@ def test_parse_errors_carry_context(text, fragment):
         (parse_push_vector, "push 1\nw 3\n", "expected vertex line", 2),
         (parse_push_vector, "push 1\nv x\n", "non-integer vertex", 2),
         (parse_push_vector, "# comment only\n", "missing 'push <k>' header", None),
+        (parse_push_vector, "push 2\nv 1\nv 1\n", "duplicate vertex 1", 3),
+        (parse_push_vector, "push -1\n", "negative vertex count -1", 1),
     ],
 )
 def test_format_errors_name_the_first_bad_line(parse, text, fragment, line_no):

@@ -201,3 +201,33 @@ def test_recursion_only_where_its_depth_is_bounded():
         # one level per order below n; callers fill its cache bottom-up
         "verify.enumerate_oriented_graphs",
     }
+
+
+def test_isomorphism_search_picks_its_own_coloring():
+    # the push flag fixes the invariant coloring, so it is not a second argument
+    args = _function("isomorphism", "_find_isomorphism").args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["g", "h", "push"]
+
+
+def test_one_reduction_vs_brute_comparison():
+    def calls_brute_force(func):
+        # a call by bare name or through the hom module
+        names = (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+        )
+        return "brute_force_push_hom" in names
+
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    callers = [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and calls_brute_force(node)
+    ]
+    assert len(callers) == 1, f"verify.py compares reduction and brute force in {callers}"
+
+
+def test_push_orbit_leaves_the_size_limit_to_canonical_code():
+    func = _function("push", "push_orbit")
+    named = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    assert "CANONICAL_SIZE_LIMIT" not in named

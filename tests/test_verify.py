@@ -224,3 +224,27 @@ def test_refutation_survives_a_later_budget_exhaustion(monkeypatch):
     assert check["status"] == "fail"
     assert check["detail"].startswith("search truncated after")
     assert check["counterexample"] == {"graphs": ["oriented 0\n", "oriented 0\n"]}
+
+
+@pytest.mark.parametrize(
+    "nodes, status, detail",
+    [
+        (1, "exhausted-budget", "search truncated after 2 nodes"),
+        (40, "exhausted-budget", "search truncated after 41 nodes"),
+        (100, "exhausted-budget", "search truncated after 101 nodes"),
+        (
+            None,
+            "pass",
+            "gadget constructed with validated 5-cycles; identity images give max "
+            "agree/disagree 4 and 4 (>= 4); all 20 tournaments on <= 5 vertices "
+            "refused (forced >= 4 common neighbors)",
+        ),
+    ],
+)
+def test_forced_pair_overlap_spends_one_budget(nodes, status, detail):
+    # the chromatic search of all 21 tournaments on <= 5 vertices shares one
+    # budget of nodes, so it runs out where no single search would
+    budget = None if nodes is None else SearchBudget(max_nodes=nodes)
+    report = run_suite("gadgets-p3", budget=budget)
+    (check,) = [c for c in report.checks if c.id == "gadgets/forced-pair-overlap"]
+    assert (check.status, check.detail) == (status, detail)
