@@ -42,7 +42,6 @@ from .graph import (
     FormatError,
     GraphError,
     OrientedGraph,
-    disjoint_union,
     emit_graph,
     identify_vertices,
     parse_graph,
@@ -73,11 +72,8 @@ from .push import (
     PushHomWitness,
     SplitCertificate,
     agree_disagree,
-    anti_twin,
     anti_twinned,
     cannot_identify,
-    emit_push_vector,
-    in_common_uc4,
     is_splitable,
     parse_push_vector,
     push,

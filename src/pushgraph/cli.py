@@ -97,7 +97,6 @@ def cmd_gen(args) -> int:
             report["weightSplit"] = families.zielonka_weight_split_report(
                 int(args.params[0])
             )
-        report["constructionValidated"] = True
         _emit_json(report, args)
     else:
         text = emit_graph(g)
@@ -265,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--output")
-    p.add_argument("--report", action="store_true", help="emit the property-validation report as JSON")
+    p.add_argument("--report", action="store_true", help="emit the construction report as JSON")
     common(p, budget=False, seed=True)
     p.set_defaults(func=cmd_gen)
 

@@ -243,7 +243,6 @@ class ExtensionTables:
     """
 
     by_kind: dict
-    c3_length4_distinct_ends_complete: bool
     sha256: str
 
 
@@ -306,7 +305,7 @@ def build_extension_tables() -> ExtensionTables:
             "extension tables changed: digest "
             f"{digest} does not match the pinned {_EXPECTED_TABLES_SHA256}"
         )
-    return ExtensionTables(by_kind, path_ok, digest)
+    return ExtensionTables(by_kind, digest)
 
 
 # -- the sparse colorer -------------------------------------------------------

@@ -1,9 +1,10 @@
 """Generators for the named graphs this package studies and for random
 verification corpora.
 
-Gadget constructors carry transcribed arc lists as data but are accepted only
-after their stated structural properties check out at construction time; a
-failing property aborts loudly instead of shipping a wrong gadget.
+Gadget constructors return transcribed arc lists as plain data; the
+`verify` suites gadgets-p3 and girth8-lower check their stated structural
+properties, and a broken property fails its check with the gadget as the
+counterexample.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .density import mad_less_than
-from .graph import GraphError, OrientedGraph, _bits, underlying_girth
-from .push import SplitCertificate, agree_disagree, cannot_identify, in_common_uc4, split_graph
+from .graph import GraphError, OrientedGraph, _bits
+from .push import SplitCertificate, agree_disagree, split_graph
 
 # random_sparse redraws a candidate failing the density check at most this often
 SPARSE_RESAMPLES = 50
@@ -95,19 +96,11 @@ def two_step_neighborhoods(h: OrientedGraph, v: int) -> TwoStepNeighborhoods:
 def paley_plus() -> OrientedGraph:
     """Directed triangle 0->1->2->0 plus apex 3 dominating all three.
 
-    Both two-step covering identities are checked for every vertex before the
-    graph is released: same-sense pairs reach everything except the start,
-    and mixed-sense pairs reach everything.
+    Its two-step covering identities (same-sense pairs reach everything
+    except the start, mixed-sense pairs reach everything) are checked by
+    gadgets/apex-triangle-identities.
     """
-    g = OrientedGraph(4, ((0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)))
-    everything = frozenset(range(4))
-    for v in range(4):
-        steps = two_step_neighborhoods(g, v)
-        if steps.out_out | steps.in_in != everything - {v}:
-            raise GraphError("apex-triangle graph fails the same-sense covering identity")
-        if steps.out_in | steps.in_out != everything:
-            raise GraphError("apex-triangle graph fails the mixed-sense covering identity")
-    return g
+    return OrientedGraph(4, ((0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)))
 
 
 def zielonka(k: int) -> OrientedGraph:
@@ -201,11 +194,11 @@ def b0() -> OrientedGraph:
 
     Vertex i is x_{i+1} of the drawing: 3 receives from 4, 5, 6 and sends to
     0, 1, 2; paths 0->1->2 and 4->5->6; vertex 7 sends to everything else.
-    Accepted only if every non-adjacent pair spans a one-reversed-arc
-    4-cycle and some pair with vertex 7 agrees and disagrees on >= 3
-    vertices each.
+    gadgets/order8-rigid checks that every pair is non-identifiable, and
+    gadgets/order8-dominating-pair that some pair with vertex 7 agrees and
+    disagrees on >= 3 vertices each.
     """
-    g = OrientedGraph(
+    return OrientedGraph(
         8,
         (
             (4, 3), (5, 3), (6, 3),
@@ -215,15 +208,6 @@ def b0() -> OrientedGraph:
             (7, 0), (7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6),
         ),
     )
-    for x in range(8):
-        for y in range(x + 1, 8):
-            if g.has_arc(x, y) or g.has_arc(y, x):
-                continue
-            if not in_common_uc4(g, x, y):
-                raise GraphError(f"non-adjacent pair ({x}, {y}) spans no reversed 4-cycle")
-    if not any(row["meets_bound"] for row in b0_pair_report(g)):
-        raise GraphError("no pair with the dominating vertex has agree/disagree >= 3")
-    return g
 
 
 def b0_pair_report(g: OrientedGraph | None = None) -> list[dict]:
@@ -253,13 +237,13 @@ def y_gadget() -> OrientedGraph:
     special vertices 1 and 2 attached so that the common neighborhoods of
     (0, 1) and of (0, 2) each induce a directed 5-cycle.
 
-    Accepted only if 0, 1, 2 are pairwise non-identifiable, both common
-    neighborhoods induce directed 5-cycles, and each 5-cycle's vertices are
-    pairwise non-identifiable.
+    gadgets/forced-pair-overlap checks that 0, 1, 2 are pairwise
+    non-identifiable, both common neighborhoods induce directed 5-cycles,
+    and each 5-cycle's vertices are pairwise non-identifiable.
     """
     apex, x, y = 0, 1, 2
     a, b, c, d, e, f, gg, h = range(3, 11)
-    g = OrientedGraph(
+    return OrientedGraph(
         11,
         tuple((apex, w) for w in range(3, 11))
         + (
@@ -269,46 +253,16 @@ def y_gadget() -> OrientedGraph:
             (e, f), (f, gg), (gg, h), (h, d),
         ),
     )
-    for p, q in ((apex, x), (apex, y), (x, y)):
-        if not cannot_identify(g, p, q):
-            raise GraphError(f"special vertices {p} and {q} are identifiable")
-    for special in (x, y):
-        ring = sorted(g.neighbors(apex) & g.neighbors(special))
-        if not _induces_directed_cycle(g, ring) or len(ring) != 5:
-            raise GraphError(
-                f"common neighbors of the apex and {special} are not a directed 5-cycle"
-            )
-        for i, p in enumerate(ring):
-            for q in ring[i + 1:]:
-                if not cannot_identify(g, p, q):
-                    raise GraphError(f"5-cycle vertices {p} and {q} are identifiable")
-    return g
-
-
-def _induces_directed_cycle(g: OrientedGraph, vertices: list[int]) -> bool:
-    inside = set(vertices)
-    succ = {}
-    for v in vertices:
-        outs = [w for w in g.out_neighbors(v) if w in inside]
-        ins = [w for w in g.in_neighbors(v) if w in inside]
-        if len(outs) != 1 or len(ins) != 1:
-            return False
-        succ[v] = outs[0]
-    seen = []
-    v = vertices[0]
-    while v not in seen:
-        seen.append(v)
-        v = succ[v]
-    return len(seen) == len(vertices)
 
 
 def girth8_witness() -> OrientedGraph:
     """Directed 9-cycle plus an apex, each cycle vertex tied to the apex by a
     fully directed 4-path and by a 4-path with one reversed arc.
 
-    64 vertices, 81 arcs, underlying girth exactly 8 (checked).  In every
-    presentation each path pair keeps one path with an odd number of
-    reversed arcs, which blocks 3-colorability of the push class.
+    64 vertices, 81 arcs, underlying girth exactly 8 (checked by
+    girth8/witness-shape).  In every presentation each path pair keeps one
+    path with an odd number of reversed arcs, which blocks 3-colorability of
+    the push class.
     """
     arcs: list[tuple[int, int]] = [(u, (u + 1) % 9) for u in range(9)]
     apex = 9
@@ -320,10 +274,7 @@ def girth8_witness() -> OrientedGraph:
         arcs += [(u, q1), (q1, q1 + 1), (q1 + 1, q1 + 2), (apex, q1 + 2)]
         p1 = q1 + 3
         arcs += [(u, p1), (p1, p1 + 1), (p1 + 1, p1 + 2), (p1 + 2, apex)]
-    g = OrientedGraph(64, tuple(arcs))
-    if underlying_girth(g) != 8:
-        raise GraphError("witness construction lost its girth")
-    return g
+    return OrientedGraph(64, tuple(arcs))
 
 
 def random_outerplanar(n: int, min_girth: int, seed: int) -> OrientedGraph:

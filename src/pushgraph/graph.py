@@ -169,16 +169,6 @@ def underlying_girth(g: OrientedGraph) -> int | float:
     return best
 
 
-def disjoint_union(graphs: Sequence[OrientedGraph]) -> OrientedGraph:
-    """Disjoint union with vertex ids shifted in list order."""
-    arcs: list[Arc] = []
-    offset = 0
-    for g in graphs:
-        arcs.extend((u + offset, v + offset) for u, v in g.arcs)
-        offset += g.n
-    return OrientedGraph(offset, tuple(arcs))
-
-
 def identify_vertices(g: OrientedGraph, classes: Sequence[Iterable[int]]) -> OrientedGraph:
     """Quotient of g by a partition of its vertices; class i becomes vertex i.
 

@@ -209,8 +209,6 @@ def transfer(
     if not is_homomorphism(g, h, mapping):
         raise GraphError("transfer requires a verified homomorphism")
     target_set = set(push_on_target)
-    for w in target_set:
-        h._check_vertex(w)
     source_set = frozenset(v for v in range(g.n) if mapping[v] in target_set)
     if not is_homomorphism(push(g, source_set), push(h, target_set), mapping):
         raise AssertionError("transferred presentation failed re-verification")

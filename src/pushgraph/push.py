@@ -98,11 +98,6 @@ def _presentations(g: OrientedGraph) -> Iterator[tuple[frozenset[int], OrientedG
         yield vector, push(g, vector)
 
 
-def anti_twin(v: int, n: int) -> int:
-    """Positional anti-twin: i and i + n swap under the map."""
-    return v + n if v < n else v - n
-
-
 def anti_twinned(g: OrientedGraph) -> OrientedGraph:
     """The 2n-vertex graph with arcs {(i,j), (i',j'), (j,i'), (j',i)} per arc (i,j)."""
     n = g.n
@@ -147,7 +142,8 @@ def repair_isomorphism(
     for v, w in enumerate(f):
         inverse[w] = v
     for v in range(n):
-        expected = anti_twin(f[v], n)
+        # f(v)': the anti-twins i and i + n swap
+        expected = f[v] + n if f[v] < n else f[v] - n
         if f[v + n] != expected:
             other = inverse[expected]
             f[v + n], f[other] = expected, f[v + n]
@@ -279,43 +275,6 @@ def agree_disagree(g: OrientedGraph, x: int, y: int) -> AgreeDisagreeStats:
     )
 
 
-def in_common_uc4(g: OrientedGraph, x: int, y: int) -> bool:
-    """True iff some 4-vertex subgraph containing non-adjacent x, y is the
-    4-cycle with exactly one reversed arc.
-
-    Computed two ways (min_count >= 1 and exhaustive 4-cycle search) and the
-    answers are asserted equal.
-    """
-    if x == y:
-        raise GraphError("in_common_uc4 requires two distinct vertices")
-    if g.has_arc(x, y) or g.has_arc(y, x):
-        raise GraphError("in_common_uc4 is defined for non-adjacent pairs only")
-    stats = agree_disagree(g, x, y)
-    by_stats = stats.min_count >= 1
-    by_search = _uc4_subgraph_search(g, x, y)
-    if by_stats != by_search:
-        raise AssertionError("agree/disagree statistics disagree with subgraph search")
-    return by_stats
-
-
-def _uc4_subgraph_search(g: OrientedGraph, x: int, y: int) -> bool:
-    common = sorted(g.neighbors(x) & g.neighbors(y))
-    for z in common:
-        for w in common:
-            if z == w:
-                continue
-            # cycle x-z-y-w; odd number of arcs against one traversal sense
-            backward = (
-                (1 if g.has_arc(z, x) else 0)
-                + (1 if g.has_arc(y, z) else 0)
-                + (1 if g.has_arc(w, y) else 0)
-                + (1 if g.has_arc(x, w) else 0)
-            )
-            if backward % 2 == 1:
-                return True
-    return False
-
-
 def cannot_identify(g: OrientedGraph, x: int, y: int) -> bool:
     """Sound test that no push homomorphism can merge x and y.
 
@@ -372,10 +331,3 @@ def parse_push_vector(text: str) -> frozenset[int]:
     if count != len(vertices):
         raise FormatError(f"header announced {count} vertices, found {len(vertices)}")
     return frozenset(vertices)
-
-
-def emit_push_vector(vertices: Iterable[int]) -> str:
-    ordered = sorted(set(vertices))
-    lines = [f"push {len(ordered)}"]
-    lines.extend(f"v {v}" for v in ordered)
-    return "\n".join(lines) + "\n"

@@ -404,10 +404,11 @@ def suite_gadgets_p3(budget: SearchBudget | None = None) -> VerdictReport:
                 for v, s in enumerate(steps)
             ),
             "both two-step covering identities hold exactly for all 4 vertices",
+            counterexample={"graph": emit_graph(target)},
         )
 
+    gadget = families.b0()
     with suite.check("gadgets/order8-rigid") as verdict:
-        gadget = families.b0()
         # merged images are impossible, so 7 vertices cannot host it
         pairs_ok = all(
             cannot_identify(gadget, x, y) for x, y in combinations(range(8), 2)
@@ -416,32 +417,47 @@ def suite_gadgets_p3(budget: SearchBudget | None = None) -> VerdictReport:
             pairs_ok,
             "all 28 vertex pairs are non-identifiable and the identity colors the "
             "gadget with 8 colors, so its push chromatic number is exactly 8",
+            counterexample={"graph": emit_graph(gadget)},
         )
 
     with suite.check("gadgets/order8-dominating-pair") as verdict:
-        report = families.b0_pair_report()
+        report = families.b0_pair_report(gadget)
         hits = [row["pair"] for row in report if row["meets_bound"]]
         verdict(
             len(hits) >= 1,
             f"pairs with the dominating vertex meeting agree/disagree >= 3: {hits}",
             witness=report,
+            counterexample={"graph": emit_graph(gadget)},
         )
 
     with suite.check("gadgets/forced-pair-overlap") as verdict:
         y = families.y_gadget()
+        case = {"graph": emit_graph(y)}
         stats_x = agree_disagree(y, 0, 1)
         stats_y = agree_disagree(y, 0, 2)
-        ok = stats_x.max_count >= 4 and stats_y.max_count >= 4
+        # the common neighbourhoods of the apex 0 and of 1 and of 2
+        rings = [sorted(y.neighbors(0) & y.neighbors(s)) for s in (1, 2)]
+        cycles_ok = all(
+            is_isomorphic(y.induced(ring)[0], families.directed_cycle(5)) is not None
+            for ring in rings
+        ) and all(
+            cannot_identify(y, p, q)
+            for group in ((0, 1, 2), *rings)
+            for p, q in combinations(group, 2)
+        )
+        if not (cycles_ok and stats_x.max_count >= 4 and stats_y.max_count >= 4):
+            verdict.refute(case)
         res = require_complete(hom.push_chromatic_number(y, max_k=5, budget=budget))
         refused = sum(len(hom.enumerate_tournaments(k)) for k in range(1, 6))
         detail = (
-            "gadget constructed with validated 5-cycles; identity images give "
-            f"max agree/disagree {stats_x.max_count} and {stats_y.max_count} (>= 4); "
-            f"all {refused} tournaments on <= 5 vertices refused (forced >= 4 common neighbors)"
+            f"gadget constructed with {'validated' if cycles_ok else 'invalid'} 5-cycles; "
+            f"identity images give max agree/disagree {stats_x.max_count} and "
+            f"{stats_y.max_count} (>= 4); all {refused} tournaments on <= 5 vertices "
+            "refused (forced >= 4 common neighbors)"
         )
         if res.value is not None:
             detail = f"unexpected push-homomorphism into a {res.value}-vertex tournament"
-        verdict(ok and res.value is None, detail)
+        verdict(res.value is None, detail, counterexample=case)
 
     with suite.check("gadgets/reduction-vs-brute-on-gadget") as verdict:
         y = families.y_gadget()
@@ -552,6 +568,7 @@ def suite_girth8_lower(budget: SearchBudget | None = None) -> VerdictReport:
         verdict(
             girth == 8 and witness.n == 64 and len(witness.arcs) == 81,
             f"witness has {witness.n} vertices, {len(witness.arcs)} arcs, girth {girth}",
+            counterexample={"graph": emit_graph(witness)},
         )
 
     with suite.check("girth8/no-triangle-coloring") as verdict:
@@ -584,20 +601,16 @@ def suite_girth8_upper(
     with suite.check("girth8/extension-tables") as verdict:
         try:
             tables = coloring.build_extension_tables()
+        except coloring.CounterexampleFound as exc:
+            verdict(False, exc.detail)
+        else:
             _, chain, branch = tables.by_kind.values()
-            ok = (
-                len(chain) == 128
-                and len(branch) == 2048
-                and tables.c3_length4_distinct_ends_complete
-            )
-            detail = (
+            verdict(
+                True,
                 f"chain table {len(chain)}/128 keys, branch table "
                 f"{len(branch)}/2048 keys (all 64 colorings solvable under every "
-                f"arc pattern), triangle path table complete; sha256 {tables.sha256[:16]}..."
+                f"arc pattern), triangle path table complete; sha256 {tables.sha256[:16]}...",
             )
-        except coloring.CounterexampleFound as exc:
-            ok, detail = False, exc.detail
-        verdict(ok, detail)
 
     with suite.check("girth8/sparse-instances") as verdict:
         colored = 0

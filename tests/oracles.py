@@ -101,6 +101,37 @@ def refine_colors_by_rounds(g: OrientedGraph) -> tuple[int, ...]:
         colors = new_colors
 
 
+def disjoint_union(graphs) -> OrientedGraph:
+    """Disjoint union with vertex ids shifted in list order."""
+    arcs = []
+    offset = 0
+    for g in graphs:
+        arcs.extend((u + offset, v + offset) for u, v in g.arcs)
+        offset += g.n
+    return OrientedGraph(offset, tuple(arcs))
+
+
+def spans_uc4(g: OrientedGraph, x: int, y: int) -> bool:
+    """True iff some 4-cycle x-z-y-w of g has an odd number of arcs against
+    its traversal, that is, is the one-reversed-arc 4-cycle up to pushing."""
+    arcs = set(g.arcs)
+    common = [
+        z for z in range(g.n)
+        if all((a, z) in arcs or (z, a) in arcs for a in (x, y))
+    ]
+    for z, w in permutations(common, 2):
+        backward = ((z, x) in arcs) + ((y, z) in arcs) + ((w, y) in arcs) + ((x, w) in arcs)
+        if backward % 2 == 1:
+            return True
+    return False
+
+
+def emit_push_vector(vertices) -> str:
+    """The push-vector file format, vertices sorted."""
+    ordered = sorted(set(vertices))
+    return "\n".join([f"push {len(ordered)}"] + [f"v {v}" for v in ordered]) + "\n"
+
+
 def hom_by_enumeration(g: OrientedGraph, h: OrientedGraph):
     if g.n == 0:
         return ()

@@ -38,7 +38,8 @@ def test_gen_report_json(capsys):
     assert payload["n"] == 8
     winners = [r["pair"] for r in payload["dominatingPairs"] if r["meets_bound"]]
     assert winners == [[3, 7]]
-    assert payload["constructionValidated"]
+    # the report states what was built and checks nothing: `verify` does
+    assert "constructionValidated" not in payload
 
 
 def test_gen_unknown_family(capsys):

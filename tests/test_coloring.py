@@ -227,7 +227,6 @@ def test_extension_tables_complete_and_pinned():
     tables = build_extension_tables()
     assert len(tables.by_kind[ConfigKind.ADJACENT_DEGREE_TWO_PAIR]) == 4 * 4 * 8
     assert len(tables.by_kind[ConfigKind.DEGREE_THREE_TWO_DEGREE_TWO]) == 4 * 4 * 4 * 32
-    assert tables.c3_length4_distinct_ends_complete
     assert tables.sha256 == _EXPECTED_TABLES_SHA256
 
 

@@ -25,6 +25,7 @@ from pushgraph.families import (
     paley_plus,
     random_outerplanar,
     random_sparse,
+    two_step_neighborhoods,
     uc4,
     y_gadget,
     zielonka,
@@ -63,7 +64,11 @@ def test_paley_plus_shape_and_identities():
     assert g.n == 4 and len(g.arcs) == 6
     assert g.out_neighbors(3) == {0, 1, 2}
     assert g.in_neighbors(3) == frozenset()
-    # construction already validates both covering identities
+    everything = frozenset(range(4))
+    for v in range(4):
+        steps = two_step_neighborhoods(g, v)
+        assert steps.out_out | steps.in_in == everything - {v}
+        assert steps.out_in | steps.in_out == everything
 
 
 def test_zielonka_orders():

@@ -11,7 +11,6 @@ from pushgraph import (
     FormatError,
     GraphError,
     OrientedGraph,
-    disjoint_union,
     emit_graph,
     identify_vertices,
     max_average_degree,
@@ -31,6 +30,7 @@ from pushgraph.families import (
 )
 
 from oracles import (
+    disjoint_union,
     girth_by_edge_removal,
     mad_by_subset_enumeration,
     random_oriented_graph,

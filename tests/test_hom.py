@@ -165,6 +165,11 @@ def test_transfer_rejects_non_homomorphism():
         transfer(directed_cycle(3), c3(), (0, 0, 0), [])
 
 
+def test_transfer_rejects_an_out_of_range_target_vertex():
+    with pytest.raises(GraphError, match="vertex 3 out of range for n=3"):
+        transfer(directed_cycle(3), c3(), (0, 1, 2), [3])
+
+
 def test_tournament_counts():
     assert [len(enumerate_tournaments(k)) for k in range(8)] == [1, 1, 1, 2, 4, 12, 56, 456]
     with pytest.raises(GraphError):

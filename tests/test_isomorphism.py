@@ -11,7 +11,6 @@ from pushgraph import (
     OrientedGraph,
     anti_twinned,
     canonical_code,
-    disjoint_union,
     is_isomorphic,
     is_isomorphism,
     push,
@@ -21,6 +20,7 @@ from pushgraph.isomorphism import _underlying_colors, refine_colors
 from pushgraph.verify import enumerate_oriented_graphs
 
 from oracles import (
+    disjoint_union,
     iso_by_permutations,
     random_oriented_graph,
     refine_colors_by_rounds,

@@ -231,3 +231,15 @@ def test_push_orbit_leaves_the_size_limit_to_canonical_code():
     func = _function("push", "push_orbit")
     named = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
     assert "CANONICAL_SIZE_LIMIT" not in named
+
+
+def test_each_gadget_property_is_checked_once_by_its_verify_check():
+    # the constructors return their arcs; gadgets-p3 and girth8-lower check them
+    for name in ("b0", "paley_plus", "y_gadget", "girth8_witness"):
+        raises = [n for n in ast.walk(_function("families", name)) if isinstance(n, ast.Raise)]
+        assert not raises, f"families.{name} checks its own properties"
+    # cannot_identify is the same test on a non-adjacent pair
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert "in_common_uc4" not in defined, path.name

@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pushgraph import (
@@ -16,8 +16,6 @@ from pushgraph import (
     canonical_code,
     cannot_identify,
     emit_graph,
-    emit_push_vector,
-    in_common_uc4,
     is_isomorphic,
     is_splitable,
     parse_push_vector,
@@ -40,7 +38,14 @@ from pushgraph.families import (
 from pushgraph.hom import enumerate_tournaments
 from pushgraph.verify import enumerate_oriented_graphs
 
-from oracles import all_push_homs, push_by_hand, random_oriented_graph, time_limit
+from oracles import (
+    all_push_homs,
+    emit_push_vector,
+    push_by_hand,
+    random_oriented_graph,
+    spans_uc4,
+    time_limit,
+)
 
 
 def test_push_empty_set_is_identity():
@@ -253,34 +258,30 @@ def test_pair_statistics_push_invariant():
             assert moved.agree == base.disagree and moved.disagree == base.agree
 
 
-def test_common_uc4_iff_min_count_positive():
-    # in_common_uc4 itself asserts the two computations agree; sweep it
-    rng = random.Random(9)
-    witnessed = 0
-    for _ in range(40):
-        g = random_oriented_graph(rng, rng.randint(2, 7), p=rng.uniform(0.2, 0.9))
-        for x, y in combinations(range(g.n), 2):
-            if g.has_arc(x, y) or g.has_arc(y, x):
-                continue
-            if in_common_uc4(g, x, y):
-                witnessed += 1
-    assert witnessed > 0
+@st.composite
+def small_oriented_graphs(draw) -> OrientedGraph:
+    """An oriented graph on 2 to 7 vertices, each pair absent or an arc of
+    either sense."""
+    n = draw(st.integers(2, 7))
+    arcs = []
+    for u, v in combinations(range(n), 2):
+        sense = draw(st.sampled_from((None, True, False)))
+        if sense is not None:
+            arcs.append((u, v) if sense else (v, u))
+    return OrientedGraph(n, tuple(arcs))
 
 
-def test_common_uc4_diagonal_and_path():
-    assert in_common_uc4(uc4(), 0, 2)
-    path = OrientedGraph(3, ((0, 1), (1, 2)))
-    assert not in_common_uc4(path, 0, 2)
-    with pytest.raises(GraphError):
-        in_common_uc4(uc4(), 0, 1)  # adjacent pair
-
-
-def test_b0_all_non_adjacent_pairs_share_uc4():
-    g = b0()
-    for x, y in combinations(range(8), 2):
-        if g.has_arc(x, y) or g.has_arc(y, x):
-            continue
-        assert in_common_uc4(g, x, y)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(small_oriented_graphs())
+@example(uc4())
+@example(OrientedGraph(3, ((0, 1), (1, 2))))
+@example(b0())
+def test_cannot_identify_non_adjacent_pair_iff_it_spans_a_reversed_4_cycle(g):
+    # on a non-adjacent pair, cannot_identify reads agree/disagree counts;
+    # the oracle searches every 4-cycle through the pair
+    for x, y in combinations(range(g.n), 2):
+        if not (g.has_arc(x, y) or g.has_arc(y, x)):
+            assert cannot_identify(g, x, y) == spans_uc4(g, x, y)
 
 
 def test_cannot_identify_adjacent_and_isolated():

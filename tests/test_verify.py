@@ -15,6 +15,8 @@ from pushgraph.verify import (
 coloring = importlib.import_module("pushgraph.coloring")
 families = importlib.import_module("pushgraph.families")
 hom = importlib.import_module("pushgraph.hom")
+# the package re-exports the function push, which shadows the submodule name
+push = importlib.import_module("pushgraph.push")
 verify = importlib.import_module("pushgraph.verify")
 
 
@@ -145,6 +147,21 @@ def _no_value(g, max_k=7, budget=None):
     return hom.ChromaticResult(None, None, None, max_k + 1, True, 0, 0.0)
 
 
+def _no_two_steps(h, v):
+    return families.TwoStepNeighborhoods(*[frozenset()] * 4)
+
+
+def _no_common_neighbors(g, x, y):
+    return push.AgreeDisagreeStats(frozenset(), frozenset())
+
+
+_b0_pair_report = families.b0_pair_report
+
+
+def _no_dominating_pair(g=None):
+    return [dict(row, meets_bound=False) for row in _b0_pair_report(g)]
+
+
 # suite, options, (module, name, replacement) faults, the checks they break,
 # and the SHA-256 of the report with wallTime masked
 FAULTS = {
@@ -197,6 +214,26 @@ FAULTS = {
         "sandwich", {"max_n": 3}, [(hom, "oriented_chromatic_number", _no_value)],
         {"sandwich/exhaustive"},
         "0e1a8682591195ae64a7a58bcbcb8feca97bab85bd699e7503b602e5d0974486",
+    ),
+    "apex-triangle": (
+        "gadgets-p3", {}, [(families, "two_step_neighborhoods", _no_two_steps)],
+        {"gadgets/apex-triangle-identities"},
+        "dde4d6f7c6f6b83185d6c9da6b1dae0f0cdb283fbc8b44f90eeb54c4c5c6175c",
+    ),
+    "non-identifiable-pairs": (
+        "gadgets-p3", {}, [(push, "agree_disagree", _no_common_neighbors)],
+        {"gadgets/order8-rigid", "gadgets/forced-pair-overlap"},
+        "d3d1ea2b7abffd03f0202b1eb47450c304f32048008a6ba805cffe76e1896c67",
+    ),
+    "dominating-pair": (
+        "gadgets-p3", {}, [(families, "b0_pair_report", _no_dominating_pair)],
+        {"gadgets/order8-dominating-pair"},
+        "c15b4f98e1eb028cd8fbbf796338d0321b622d265454dbe3964224fc2014dd21",
+    ),
+    "girth8-lower": (
+        "girth8-lower", {}, [(verify, "underlying_girth", lambda g: 7)],
+        {"girth8/witness-shape"},
+        "6351f4147fd2d4c591860279ccaf7e0180496444f9adf3dcae92b97092a7094b",
     ),
 }
 
