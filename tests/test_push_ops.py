@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pushgraph import (
@@ -273,15 +273,26 @@ def small_oriented_graphs(draw) -> OrientedGraph:
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(small_oriented_graphs())
-@example(uc4())
-@example(OrientedGraph(3, ((0, 1), (1, 2))))
-@example(b0())
-def test_cannot_identify_non_adjacent_pair_iff_it_spans_a_reversed_4_cycle(g):
+def test_common_uc4_iff_min_count_positive(g):
     # on a non-adjacent pair, cannot_identify reads agree/disagree counts;
     # the oracle searches every 4-cycle through the pair
     for x, y in combinations(range(g.n), 2):
         if not (g.has_arc(x, y) or g.has_arc(y, x)):
             assert cannot_identify(g, x, y) == spans_uc4(g, x, y)
+
+
+def test_common_uc4_diagonal_and_path():
+    assert cannot_identify(uc4(), 0, 2) and spans_uc4(uc4(), 0, 2)
+    path = OrientedGraph(3, ((0, 1), (1, 2)))
+    assert not cannot_identify(path, 0, 2) and not spans_uc4(path, 0, 2)
+
+
+def test_b0_all_non_adjacent_pairs_share_uc4():
+    g = b0()
+    for x, y in combinations(range(8), 2):
+        if g.has_arc(x, y) or g.has_arc(y, x):
+            continue
+        assert cannot_identify(g, x, y) and spans_uc4(g, x, y)
 
 
 def test_cannot_identify_adjacent_and_isolated():
