@@ -1,17 +1,20 @@
 """Digraph isomorphism, push equivalence search and canonical codes.
 
-Both searches refine colours first and backtrack only inside colour classes.
-One backtracking loop serves is_isomorphic and push_equivalent: it gives
-each vertex of g an image in h and a push bit (always 0 for is_isomorphic),
-reading h through its adjacency lists and an arc set, never n-bit masks.
-No search tries more than one order of twins.
+Both searches first refine the colours of the two graphs together, as one
+disjoint union, and refute the pair at the first colour class that holds
+more vertices of one graph than of the other; they backtrack only inside
+colour classes.  One backtracking loop serves is_isomorphic and
+push_equivalent: it gives each vertex of g an image in h and a push bit
+(always 0 for is_isomorphic), reading h through its adjacency lists and an
+arc set, never n-bit masks.  No search tries more than one order of twins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from bisect import bisect_left
 from heapq import heappop, heappush
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 from .graph import GraphError, OrientedGraph
@@ -63,60 +66,91 @@ def refine_colors(g: OrientedGraph) -> tuple[int, ...]:
     nothing that c does not, and push_equivalent searches the base graphs
     with c alone.
     """
-    n = g.n
-    # ends[v] lists v's out-neighbours w as w and its in-neighbours w as
-    # w + n, and colors[w + n] = colors[w] + n: every member of a class has
-    # the same out- and in-degree, so the sorted colors of ends[v] order the
-    # members of a class as their (out, in) tuples do
-    ends: list[list[int]] = [[] for _ in range(n)]
-    in_degree = [0] * n
-    for u, v in g.arcs:
-        ends[u].append(v)
-        ends[v].append(u + n)
-        in_degree[v] += 1
-    return _refine(g, ends, [(len(ends[v]) - in_degree[v], in_degree[v]) for v in range(n)])
+    ends, start = _directed_ends(g.n, g.arcs)
+    return _refine(g.adjacency, ends, start)
 
 
 def _underlying_colors(g: OrientedGraph) -> tuple[int, ...]:
     """Refinement of g's underlying graph from its degree classes, signing a
     vertex by the sorted colors of its neighbours; refine_colors says why
     refine_colors(anti_twinned(g)) is these colors twice over."""
-    return _refine(g, g.adjacency, list(map(len, g.adjacency)))
+    return _refine(g.adjacency, g.adjacency, list(map(len, g.adjacency)))
 
 
-def _refine(g: OrientedGraph, ends: Sequence[Sequence[int]], start: list) -> tuple[int, ...]:
+def _directed_ends(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], list]:
+    """The ends lists and (out, in)-degree start keys of refine_colors on n
+    vertices: ends[v] lists v's out-neighbours w as w and its in-neighbours w
+    as w + n, and colors[w + n] = colors[w] + n, so (every member of a class
+    having the same out- and in-degree) the sorted colors of ends[v] order
+    the members of a class as their (out, in) tuples do."""
+    ends: list[list[int]] = [[] for _ in range(n)]
+    in_degree = [0] * n
+    for u, v in arcs:
+        ends[u].append(v)
+        ends[v].append(u + n)
+        in_degree[v] += 1
+    return ends, [(len(e) - d, d) for e, d in zip(ends, in_degree)]
+
+
+def _refine(
+    nbrs: Sequence[Sequence[int]], ends: Sequence[Sequence[int]], start: list, half: int = 0
+) -> tuple[int, ...] | None:
     """The loop of refine_colors: vertices start in classes of equal start
     key, in key order; a member of a class is signed by the sorted colors of
     ends[v], where colors[w + n] = colors[w] + n, and a class is signed only
-    when a neighbour of one of its members moved in the last round."""
-    n = g.n
+    when a neighbour (in nbrs) of one of its members moved in the last round.
+    Returns the colors, dense from 0 in place order.
+
+    With half > 0 the vertices are those of g + h, g's below half, refined
+    together.  An isomorphism g -> h and its inverse map each class of every
+    round onto itself, so a class with unequal numbers of g- and h-vertices
+    refutes the pair, and the loop returns None at the first one, initial or
+    split off.  Refinement reads a vertex's own graph only, so the g-half of
+    the colors induces the stable partition that refining g alone gives.  A
+    class of one g- and one h-vertex can only split unbalanced; the loop
+    notes it when dirty and, once the others are stable, signs each noted
+    one (one never dirty keeps the equal signs it was formed with).  If none
+    splits, the partition is the stable one that signing them every round
+    reaches; if one does, that signing splits it too.
+    """
+    n = len(start)
     by_key: dict = {}
     for v, key in enumerate(start):
         by_key.setdefault(key, []).append(v)
     colors = [0] * (2 * n)  # the first place of each vertex's class
-    cells: dict[int, list[int]] = {}  # first place -> members
+    cells: dict[int, list[int]] = {}  # first place -> members, ascending
     place = 0
     for key in sorted(by_key):
         cells[place] = members = by_key[key]
+        if half and bisect_left(members, half) * 2 != len(members):
+            return None
         for v in members:
             colors[v] = place
             colors[v + n] = place + n
         place += len(members)
-    moved = [v for v in range(n) if colors[v]]
-    nbrs = g.adjacency
     color_of = colors.__getitem__
+    smallest = 4 if half else 2  # the smallest class that can split balanced
+    noted = []  # dirty classes of one g- and one h-vertex
+    moved = [v for v in range(n) if colors[v]]
     while moved:
         splits = []
         for place in {colors[u] for v in moved for u in nbrs[v]}:
             members = cells[place]
-            if len(members) < 2:
+            if len(members) < smallest:
+                if half:
+                    noted.append(place)
                 continue
             parts: dict[tuple, list[int]] = {}
             for v in members:
                 key = tuple(sorted(map(color_of, ends[v])))
                 parts.setdefault(key, []).append(v)
             if len(parts) > 1:
-                splits.append((place, [parts[key] for key in sorted(parts)]))
+                split = [parts[key] for key in sorted(parts)]
+                if half:
+                    for part in split:
+                        if bisect_left(part, half) * 2 != len(part):
+                            return None
+                splits.append((place, split))
         moved = []
         for place, parts in splits:
             cells[place] = parts[0]
@@ -127,8 +161,12 @@ def _refine(g: OrientedGraph, ends: Sequence[Sequence[int]], start: list) -> tup
                     colors[v] = place
                     colors[v + n] = place + n
                 moved += members
+    if noted:
+        signs = [sorted(map(color_of, ends[v])) for place in set(noted) for v in cells[place]]
+        if signs[::2] != signs[1::2]:
+            return None
     rank = {place: c for c, place in enumerate(sorted(cells))}
-    return tuple(rank[place] for place in colors[:n])
+    return tuple(map(rank.__getitem__, colors[:n]))
 
 
 def _previous_twins(profiles: Iterable) -> list[int]:
@@ -149,12 +187,14 @@ def _previous_twins(profiles: Iterable) -> list[int]:
 def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
     """Search for an arc-preserving bijection g -> h.
 
-    Refines colors, then backtracks over color-compatible images on its own
-    stack (so Python's recursion limit does not bound it), checking exact
-    adjacency (both senses) against mapped neighbors.  An image is tried
-    only once its previous twin in h is used: swapping two unused twins
-    fixes the partial map, so the first certificate found is the one the
-    unpruned search would find.  The certificate is re-verified.
+    Refines the colors of g and h together, refuting the pair at the first
+    class with more vertices of one graph, then backtracks over
+    color-compatible images on its own stack (so Python's recursion limit
+    does not bound it), checking exact adjacency (both senses) against
+    mapped neighbors.  An image is tried only once its previous twin in h
+    is used: swapping two unused twins fixes the partial map, so the first
+    certificate found is the one the unpruned search would find.  The
+    certificate is re-verified.
     """
     found = _find_isomorphism(g, h, push=False)
     if found is not None and not is_isomorphism(g, h, found[0]):
@@ -162,24 +202,39 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
     return found and IsoCertificate(found[0])
 
 
+def _joint_colors(g: OrientedGraph, h: OrientedGraph, push: bool) -> tuple[int, ...] | None:
+    """The colors of g + h, h's vertex w as w + n, refined together
+    (underlying with push, else as refine_colors); None at the first class
+    with unequal numbers of g- and h-vertices.  g and h have n vertices."""
+    n = g.n
+    nbrs = [*g.adjacency, *([x + n for x in a] for a in h.adjacency)]
+    if push:
+        return _refine(nbrs, nbrs, list(map(len, nbrs)), n)
+    ends, start = _directed_ends(2 * n, chain(g.arcs, [(u + n, v + n) for u, v in h.arcs]))
+    return _refine(nbrs, ends, start, n)
+
+
 def _find_isomorphism(
     g: OrientedGraph, h: OrientedGraph, push: bool
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The backtracking search of is_isomorphic and push_equivalent, under an
-    invariant coloring (_underlying_colors with push, else refine_colors)
-    that refuses pairs with unequal histograms: a mapping of g's vertices
-    into h and a push bit each, such that the mapping is an isomorphism from
-    g, pushed at the vertices of bit 1, onto h.  Without push every bit is 0.
+    """The backtracking search of is_isomorphic and push_equivalent: a
+    mapping of g's vertices into h and a push bit each, such that the
+    mapping is an isomorphism from g, pushed at the vertices of bit 1, onto
+    h.  Without push every bit is 0.  The pair is refused at the first
+    unbalanced class of _joint_colors; otherwise an image must share its
+    vertex's joint color.  The g-half of that coloring is the partition of
+    _underlying_colors(g) (refine_colors(g)), and the search reads only color
+    equality and class sizes, so it runs as on the separate colorings.
     """
-    if g.n != h.n or len(g.arcs) != len(h.arcs):
-        return None
-    colors = _underlying_colors if push else refine_colors
-    gcol, hcol = colors(g), colors(h)
-    if sorted(gcol) != sorted(hcol):
-        return None
     n = g.n
+    if n != h.n or len(g.arcs) != len(h.arcs):
+        return None
+    joint = _joint_colors(g, h, push)
+    if joint is None:
+        return None
     if n == 0:
         return (), ()
+    gcol, hcol = joint[:n], joint[n:]
     h_by_color: dict[int, list[int]] = {}
     for w in range(n):
         h_by_color.setdefault(hcol[w], []).append(w)

@@ -41,7 +41,8 @@ SCHEMA_VERSION = 1
 @dataclass
 class CheckRecord:
     """One check's outcome.  refute() records a failing case; calling the
-    record states the detail and whether the rest of the check holds.  Any
+    record states the detail and whether the rest of the check holds, and
+    tally() states the detail of a check made of refutable cases alone.  Any
     refutation fails the check, which keeps the first counterexample given."""
 
     id: str
@@ -50,10 +51,17 @@ class CheckRecord:
     wall_time: float = 0.0
     witness: object | None = None
     counterexample: dict | None = None
+    refuted: int = 0  # the cases refuted so far
 
     def refute(self, counterexample: dict | None = None) -> None:
         self.status = "fail"
+        self.refuted += 1
         self.counterexample = self.counterexample or counterexample
+
+    def tally(self, total: int, refuted: str, holds: str) -> None:
+        """The detail `holds` if none of the check's total cases was refuted,
+        else "<k> of <total> <refuted>"."""
+        self.detail = f"{self.refuted} of {total} {refuted}" if self.refuted else holds
 
     def __call__(self, ok: bool, detail: str, witness=None, counterexample=None) -> None:
         if not ok:
@@ -176,8 +184,9 @@ def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
             for idx in members:
                 if push_equivalent(rep, graphs[idx]) is None:
                     verdict.refute({"graphs": [emit_graph(rep), emit_graph(graphs[idx])]})
-        verdict(
-            True,
+        verdict.tally(
+            len(graphs),
+            "same-class pairs refused",
             f"{len(graphs)} same-class pairs produced verified push/mapping certificates",
         )
 
@@ -186,7 +195,11 @@ def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
         for a, b in pairs:
             if push_equivalent(a, b) is not None:
                 verdict.refute({"graphs": [emit_graph(a), emit_graph(b)]})
-        verdict(True, f"{len(pairs)} cross-class representative pairs correctly refused")
+        verdict.tally(
+            len(pairs),
+            "cross-class representative pairs declared push-equivalent",
+            f"{len(pairs)} cross-class representative pairs correctly refused",
+        )
     return suite
 
 
@@ -212,10 +225,11 @@ def suite_lemma_split(
         sources = _all_classes(max_n)
         targets = _all_classes(max_tgt)
         _reduction_agrees(verdict, product(sources, targets), budget)
-        verdict(
-            True,
-            f"{len(sources) * len(targets)} (source, target) pairs agree "
-            f"(sources n <= {max_n}, targets n <= {max_tgt})",
+        scope = f"(sources n <= {max_n}, targets n <= {max_tgt})"
+        verdict.tally(
+            len(sources) * len(targets),
+            f"(source, target) pairs disagree {scope}",
+            f"{len(sources) * len(targets)} (source, target) pairs agree {scope}",
         )
     return suite
 
@@ -253,7 +267,11 @@ def suite_prop_transfer(count: int = 1000, seed: int = 0, max_n: int = 12) -> Ve
             except AssertionError:
                 graphs = [emit_graph(g), emit_graph(h)]
                 verdict.refute({"graphs": graphs, "mapping": list(image), "targetPush": push_h})
-        verdict(True, f"{count} random homomorphisms transferred and re-verified (seed {seed})")
+        verdict.tally(
+            count,
+            f"random homomorphisms failed to transfer (seed {seed})",
+            f"{count} random homomorphisms transferred and re-verified (seed {seed})",
+        )
     return suite
 
 
@@ -298,7 +316,11 @@ def suite_outerplanar5(
                             verdict.refute(
                                 {"pattern": ["+" if x else "-" for x in bits], "a": a, "b": b}
                             )
-        verdict(True, f"{checked} (pattern, endpoints) cases up to length 6 agree with enumeration")
+        verdict.tally(
+            checked,
+            "(pattern, endpoints) cases up to length 6 disagree with enumeration",
+            f"{checked} (pattern, endpoints) cases up to length 6 agree with enumeration",
+        )
 
     with suite.check("outerplanar5/path-lemma-values") as verdict:
         # (pattern, a, b, feasible): '+++-' with equal ends, then every length-4
@@ -311,8 +333,9 @@ def suite_outerplanar5(
         for pattern, a, b, feasible in stated:
             if (coloring.path_extend_to_c3(pattern, a, b) is not None) != feasible:
                 verdict.refute({"pattern": list(pattern), "a": a, "b": b})
-        verdict(
-            True,
+        verdict.tally(
+            len(stated),
+            "stated (pattern, endpoints) feasibilities are wrong",
             "'+++-' with equal endpoints infeasible; every length-4 pattern with "
             "distinct endpoints feasible",
         )
@@ -397,27 +420,27 @@ def suite_gadgets_p3(budget: SearchBudget | None = None) -> VerdictReport:
     with suite.check("gadgets/apex-triangle-identities") as verdict:
         target = families.paley_plus()
         everything = frozenset(range(4))
-        steps = [families.two_step_neighborhoods(target, v) for v in range(4)]
-        verdict(
-            all(
-                s.out_out | s.in_in == everything - {v} and s.out_in | s.in_out == everything
-                for v, s in enumerate(steps)
-            ),
+        for v in range(4):
+            s = families.two_step_neighborhoods(target, v)
+            if s.out_out | s.in_in != everything - {v} or s.out_in | s.in_out != everything:
+                verdict.refute({"graph": emit_graph(target)})
+        verdict.tally(
+            4,
+            "vertices break a two-step covering identity",
             "both two-step covering identities hold exactly for all 4 vertices",
-            counterexample={"graph": emit_graph(target)},
         )
 
     gadget = families.b0()
     with suite.check("gadgets/order8-rigid") as verdict:
         # merged images are impossible, so 7 vertices cannot host it
-        pairs_ok = all(
-            cannot_identify(gadget, x, y) for x, y in combinations(range(8), 2)
-        )
-        verdict(
-            pairs_ok,
+        for x, y in combinations(range(8), 2):
+            if not cannot_identify(gadget, x, y):
+                verdict.refute({"graph": emit_graph(gadget)})
+        verdict.tally(
+            28,
+            "vertex pairs are identifiable",
             "all 28 vertex pairs are non-identifiable and the identity colors the "
             "gadget with 8 colors, so its push chromatic number is exactly 8",
-            counterexample={"graph": emit_graph(gadget)},
         )
 
     with suite.check("gadgets/order8-dominating-pair") as verdict:
@@ -463,8 +486,10 @@ def suite_gadgets_p3(budget: SearchBudget | None = None) -> VerdictReport:
         y = families.y_gadget()
         targets = [t for k in range(4) for t in hom.enumerate_tournaments(k)]
         _reduction_agrees(verdict, product([y], targets), budget)
-        verdict(
-            True,
+        verdict.tally(
+            len(targets),
+            "small targets get different verdicts from the anti-twin reduction and "
+            "presentation enumeration",
             "anti-twin reduction and presentation enumeration agree on all small targets",
         )
 
@@ -642,11 +667,14 @@ def suite_girth8_upper(
             mad = max_average_degree(g)
             if not audit.meets_eight_thirds or mad < Fraction(8, 3):
                 verdict.refute({"graph": emit_graph(g)})
-        verdict(
-            examined >= 10,
+        verdict.tally(
+            examined,
+            "configuration-free graphs have min modified degree < 8/3 or mad < 8/3",
             f"{examined} configuration-free graphs all have min modified degree >= 8/3 "
             "and mad >= 8/3",
         )
+        if examined < 10:
+            verdict(False, f"only {examined} configuration-free graphs examined; 10 wanted")
     return suite
 
 
@@ -698,7 +726,11 @@ def suite_sandwich(max_n: int = 5, budget: SearchBudget | None = None) -> Verdic
                 verdict.refute(
                     {"graph": emit_graph(g), "push": pushy.value, "oriented": ordinary.value}
                 )
-        verdict(True, f"{checked} oriented graphs with n <= {max_n} satisfy the sandwich bounds")
+        verdict.tally(
+            checked,
+            f"oriented graphs with n <= {max_n} break the sandwich bounds",
+            f"{checked} oriented graphs with n <= {max_n} satisfy the sandwich bounds",
+        )
     return suite
 
 

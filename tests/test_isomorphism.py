@@ -14,9 +14,11 @@ from pushgraph import (
     is_isomorphic,
     is_isomorphism,
     push,
+    push_equivalent,
+    push_orbit,
 )
 from pushgraph.families import directed_cycle, random_outerplanar, random_sparse, uc4
-from pushgraph.isomorphism import _underlying_colors, refine_colors
+from pushgraph.isomorphism import _joint_colors, _underlying_colors, refine_colors
 from pushgraph.verify import enumerate_oriented_graphs
 
 from oracles import (
@@ -183,23 +185,34 @@ def twin_heavy_graphs(draw) -> OrientedGraph:
     return anti_twinned(g) if doubled else g
 
 
-@st.composite
-def twin_heavy_pairs(draw):
-    """A twin-heavy graph and a relabelled copy, perhaps with one arc reversed
-    or moved to a non-adjacent pair."""
-    g = draw(twin_heavy_graphs())
+def _one_arc_changed(pick, g: OrientedGraph, changes) -> OrientedGraph:
+    """g with one arc reversed or moved to a non-adjacent pair, as picked
+    from changes ("none" keeps g); an arcless g is kept.  pick(options)
+    returns one of a sequence of options."""
     arcs = list(g.arcs)
-    change = draw(st.sampled_from(("none", "reverse", "move"))) if arcs else "none"
+    change = pick(changes) if arcs else "none"
     if change != "none":
-        u, v = arcs.pop(draw(st.integers(0, len(arcs) - 1)))
+        u, v = arcs.pop(pick(range(len(arcs))))
         if change == "reverse":
             arcs.append((v, u))
         else:
             adjacent = {frozenset(a) for a in g.arcs}
             free = [p for p in combinations(range(g.n), 2) if frozenset(p) not in adjacent]
-            arcs.append(draw(st.sampled_from(free)) if free else (u, v))
-    perm = draw(st.permutations(range(g.n)))
-    return g, OrientedGraph(g.n, tuple(arcs)).relabel(perm)
+            arcs.append(pick(free) if free else (u, v))
+    return OrientedGraph(g.n, tuple(arcs))
+
+
+def _drawing(draw):
+    return lambda options: draw(st.sampled_from(options))
+
+
+@st.composite
+def twin_heavy_pairs(draw):
+    """A twin-heavy graph and a relabelled copy, perhaps with one arc reversed
+    or moved to a non-adjacent pair."""
+    g = draw(twin_heavy_graphs())
+    changed = _one_arc_changed(_drawing(draw), g, ("none", "reverse", "move"))
+    return g, changed.relabel(draw(st.permutations(range(g.n))))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -239,6 +252,83 @@ def refinement_inputs(draw) -> OrientedGraph:
 @given(refinement_inputs())
 def test_refinement_matches_signing_every_vertex_every_round(g):
     assert refine_colors(g) == refine_colors_by_rounds(g)
+
+
+@st.composite
+def refinement_pairs(draw):
+    """A graph from refinement_inputs with three relabelled copies: of the
+    graph itself, of a push of it, and of it with one arc reversed or moved."""
+    g = draw(refinement_inputs())
+    pushed = push(g, draw(st.sets(st.integers(0, g.n - 1))) if g.n else ())
+    changed = _one_arc_changed(_drawing(draw), g, ("reverse", "move"))
+    return g, *(c.relabel(draw(st.permutations(range(g.n)))) for c in (g, pushed, changed))
+
+
+def _same_partition(a, b) -> bool:
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(refinement_pairs())
+def test_pair_refinement_keeps_each_partition_and_refuses_only_non_equivalent_pairs(case):
+    # the directed pair refinement (is_isomorphic) against the permutation
+    # oracle, the underlying one (push_equivalent) against the push orbits
+    g, relabelled, pushed, changed = case
+    for mode, own, search, copies, equivalent in (
+        (False, refine_colors_by_rounds(g), is_isomorphic, (relabelled,),
+         lambda h: iso_by_permutations(g, h) is not None),
+        (True, _underlying_colors(g), push_equivalent, (relabelled, pushed),
+         lambda h: canonical_code(h) in push_orbit(g)),
+    ):
+        for h in (relabelled, pushed, changed):
+            joint = _joint_colors(g, h, mode)
+            if joint is not None:
+                assert _same_partition(joint[: g.n], own)
+            found = search(g, h)
+            if any(h is copy for copy in copies):
+                assert joint is not None and found is not None
+            if found is None and g.n <= 7:
+                assert not equivalent(h)
+
+
+def test_pair_refinement_refutes_a_path_against_a_spider_by_degrees():
+    # the same order and size, but the spider has a degree-3 vertex and
+    # three leaves; refining either graph alone is quadratic on the path
+    n = 8000
+    path = OrientedGraph(n, tuple((v, v + 1) for v in range(n - 1)))
+    legs = [range(1, 3), range(3, 5), range(5, n)]
+    spider = OrientedGraph(
+        n, tuple((v - 1 if v != leg[0] else 0, v) for leg in legs for v in leg)
+    )
+    with time_limit(2):
+        assert is_isomorphic(path, spider) is None
+        assert push_equivalent(path, spider) is None
+
+
+def test_mid_size_pairs_agree_with_networkx():
+    # networkx is a second opinion at sizes the permutation oracle cannot
+    # reach: its VF2 (DiGraphMatcher) on relabelled copies, isomorphic by
+    # construction, and its VF2++ on one-arc changes, which VF2 can take
+    # minutes to refuse; every certificate is re-verified in is_isomorphic
+    nx = pytest.importorskip("networkx")
+
+    def digraph(g):
+        d = nx.DiGraph()
+        d.add_nodes_from(range(g.n))
+        d.add_edges_from(g.arcs)
+        return d
+
+    rng = random.Random(20150826)
+    for n in (20, 33, 54, 90, 140, 200):
+        for g in (random_sparse(n, n), random_outerplanar(n, 5, n)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            copy = g.relabel(perm)
+            assert nx.algorithms.isomorphism.DiGraphMatcher(digraph(g), digraph(copy)).is_isomorphic()
+            assert is_isomorphic(g, copy) is not None
+            for _ in range(3):
+                h = _one_arc_changed(rng.choice, g, ("reverse", "move")).relabel(perm)
+                assert (is_isomorphic(g, h) is not None) == nx.vf2pp_is_isomorphic(digraph(g), digraph(h))
 
 
 def _assert_anti_twinned_colors_are_doubled(g):

@@ -168,27 +168,27 @@ FAULTS = {
     "certificates": (
         "theorem-antitwin", {"max_n": 3}, [(verify, "push_equivalent", lambda g, h: None)],
         {"antitwin/certificates"},
-        "f2982946058fd21c15e0e8c40612f412c30b924df29958061a62e19d7d298f02",
+        "8e6a2972c2bc43d05162b3ef94e9b5cecf4f0822fec6b351664aa79e8be3aec5",
     ),
     "cross-class": (
         "theorem-antitwin", {"max_n": 3}, [(verify, "push_equivalent", lambda g, h: True)],
         {"antitwin/cross-class"},
-        "fb9eee5e7ce6e3f569fd3ed96fd606cbf7bb5f9a48b780c98453bd570baab81d",
+        "61b70d7c53f2bc2eedd62395b742c8294845005ff449912d596e4e6386790bf5",
     ),
     "transfer": (
         "prop-transfer", {"count": 20, "seed": 1}, [(hom, "transfer", _assertion_error)],
         {"transfer/random"},
-        "bf22f9a4c265cc66203856c22f6b78bcd32b5bb367883d2c44194556cbfb9328",
+        "f22cbfce6c59e927e363b44085b43be76fbe5a98ab3f9a938584e4bb8f19f8f5",
     ),
     "split": (
         "lemma-split", {"max_n": 3, "max_tgt": 2}, [(hom, "brute_force_push_hom", _finds_nothing)],
         {"split/reduction-vs-brute"},
-        "a4ecb0fccc8e52a7e15ba15a7429833f649cefc02e1eec1273b002c5a1b2e34c",
+        "5d913fe3afd7836e6e1a4201e8fa7cbbc70f703c49ef31a9f1262cdd8b227a40",
     ),
     "gadget": (
         "gadgets-p3", {}, [(hom, "brute_force_push_hom", _finds_everything)],
         {"gadgets/reduction-vs-brute-on-gadget"},
-        "15e1923e190503b5f46cc3ad8d324ae357637db7bc7dde295325a6966109d808",
+        "69293b74caa955108a4852c546574b36a8c8ec1920e386b154a0aa8ab06662d5",
     ),
     "outerplanar5": (
         "outerplanar5",
@@ -198,7 +198,7 @@ FAULTS = {
             (coloring, "color_outerplanar_g5", _counterexample_found),
         ],
         {"outerplanar5/path-lemma-oracle", "outerplanar5/path-lemma-values", "outerplanar5/instances"},
-        "d842e2517cc94ca43ad82bdaa09be86213653aee015b2d319d0b101816bb16f3",
+        "3e619de47aa0a526828eae78fbae27f1cae0389e7c287db828eb599916f31cbd",
     ),
     "girth8-upper": (
         "girth8-upper",
@@ -208,22 +208,22 @@ FAULTS = {
             (verify, "max_average_degree", lambda g: 0),
         ],
         {"girth8/sparse-instances", "girth8/discharge-contrapositive"},
-        "a32c5a83a3606431c67553673c86442a961616d68729ff90a5b1c0e97aee53e1",
+        "55d84d90d5530bcde0c886ea76e125b6654f5548a235142af54bbb8dfec5aa9e",
     ),
     "sandwich": (
         "sandwich", {"max_n": 3}, [(hom, "oriented_chromatic_number", _no_value)],
         {"sandwich/exhaustive"},
-        "0e1a8682591195ae64a7a58bcbcb8feca97bab85bd699e7503b602e5d0974486",
+        "d73f2302134c2cc91fa338c8b01acf8c69dc99d66a17ed822474d9a4b1260a83",
     ),
     "apex-triangle": (
         "gadgets-p3", {}, [(families, "two_step_neighborhoods", _no_two_steps)],
         {"gadgets/apex-triangle-identities"},
-        "dde4d6f7c6f6b83185d6c9da6b1dae0f0cdb283fbc8b44f90eeb54c4c5c6175c",
+        "e9b88af55984c9d8df52b27da36d8cfeb7845704c456bf925698d7af366f2580",
     ),
     "non-identifiable-pairs": (
         "gadgets-p3", {}, [(push, "agree_disagree", _no_common_neighbors)],
         {"gadgets/order8-rigid", "gadgets/forced-pair-overlap"},
-        "d3d1ea2b7abffd03f0202b1eb47450c304f32048008a6ba805cffe76e1896c67",
+        "e90f4fb37fd9c99672d6adb61dc4d24446785d1a04f018f9917f64b58dfbf814",
     ),
     "dominating-pair": (
         "gadgets-p3", {}, [(families, "b0_pair_report", _no_dominating_pair)],
@@ -241,13 +241,16 @@ FAULTS = {
 @pytest.mark.parametrize("case", FAULTS)
 def test_injected_faults_fail_their_checks(monkeypatch, case):
     suite, options, faults, broken, digest = FAULTS[case]
+    clean = {c.id: c.detail for c in run_suite(suite, **options).checks}
     for module, name, replacement in faults:
         monkeypatch.setattr(module, name, replacement)
     payload = run_suite(suite, **options).to_json()
     failed = [c for c in payload["checks"] if c["status"] == "fail"]
     assert {c["id"] for c in failed} == broken
-    # every failing check keeps a case that can be replayed
+    # every failing check keeps a case that can be replayed, and says what
+    # failed rather than repeating what it says when it passes
     assert all("counterexample" in c for c in failed)
+    assert [c["id"] for c in failed if c["detail"] == clean[c["id"]]] == []
     for check in payload["checks"]:
         check.pop("wallTime")
     text = json.dumps(payload, sort_keys=True)
