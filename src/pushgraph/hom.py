@@ -7,9 +7,14 @@ push.fold_to_push_witness.  The search keeps its choice points on an explicit
 stack, so no recursion limit bounds the source's size, and spends its nodes
 on a pushgraph.search tracker, which owns the budget and the three outcomes
 (found, none, budget-exhausted) that every result reports.  Chromatic
-numbers enumerate tournament targets only: adding arcs to a target never
-destroys a homomorphism and every oriented graph extends to a tournament, so
-tournaments suffice for the minimum order.
+numbers are minimum tournament orders: adding arcs to a target never
+destroys a homomorphism and every oriented graph extends to a tournament.
+g maps to a tournament of order k iff g has a k-colouring with no arc inside
+a class and all arcs between two classes in one direction (Raspaud & Sopena
+1994), read after pushing by a bit per vertex for push homomorphisms; so one
+quotient search per order proves absence at every order below the chromatic
+number, and only at that number are the tournaments walked, in enumeration
+order, for the first target.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Iterable
 
-from .graph import GraphError, OrientedGraph
+from .graph import GraphError, OrientedGraph, identify_vertices
 from .isomorphism import _augment, is_homomorphism
 from .push import PushHomWitness, _presentations, anti_twinned, fold_to_push_witness, push
 from .search import SearchBudget, _SearchStatus, _Tracker
@@ -248,21 +253,177 @@ class ChromaticResult:
     seconds: float
 
 
-def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, search):
+def _quotient_layout(g: OrientedGraph):
+    """The vertex order of the quotient search: component by component, each
+    in BFS order from its smallest vertex.  Returns the order, whether each
+    position starts a component, and each position's earlier neighbours as
+    (position, 1 if the arc leaves the later vertex else 0)."""
+    order: list[int] = []
+    starts = [False] * g.n
+    seen = [False] * g.n
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = starts[len(order)] = True
+        head = len(order)
+        order.append(s)
+        while head < len(order):
+            for y in g.adjacency[order[head]]:
+                if not seen[y]:
+                    seen[y] = True
+                    order.append(y)
+            head += 1
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    earlier: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for u, v in g.arcs:
+        i, j = pos[u], pos[v]
+        if i > j:
+            earlier[i].append((j, 1))
+        else:
+            earlier[j].append((i, 0))
+    return order, starts, earlier
+
+
+# _quotient_colouring's outcome when its allowance of nodes ran out
+_UNDECIDED = "undecided"
+
+
+def _quotient_colouring(layout, k: int, pushing: bool, tracker: _Tracker, allowance: int):
+    """Search a colouring with at most k classes, no arc inside a class and
+    all arcs between two classes in one direction, read after pushing the
+    vertices whose bit is 1 when pushing.  Such a colouring exists iff the
+    graph (push) maps to some tournament of order k (Raspaud & Sopena 1994).
+
+    Vertices take colours along the layout's order by restricted growth: a
+    used colour or the smallest unused one, since unused colours are
+    interchangeable.  When pushing, a vertex also takes a bit, 1 only on a
+    used colour and off a component's first vertex, since pushing a whole
+    component, or the whole class of a colour opened here, maps a colouring
+    to a colouring.  Each colour pair keeps a count of arcs per direction, so
+    a value is refused at an arc inside its class or against its pair's
+    direction.  Every tentative (colour, bit) spends one tracker node, and
+    the choice points live in per-position arrays, not on the call stack.
+
+    Returns the colours and bits by position; None when there is no
+    colouring or the tracker ran out; or _UNDECIDED once allowance nodes are
+    spent.
+    """
+    order, starts, earlier = layout
+    n = len(order)
+    if n == 0:
+        return [], []
+    rel = [0] * (k * k)  # rel[a * k + b]: arcs from class a to class b
+    col, bit = [0] * n, [0] * n
+    used = [0] * (n + 1)  # colours used before each position
+    tried = [0] * n  # values tried at each position
+    added: list[list[int]] = [[] for _ in range(n)]  # rel entries of each value
+    spent = 0
+    i = 0
+    while True:
+        for x in added[i]:
+            rel[x] -= 1
+        u = used[i]
+        # values in order: (c, 0), (c, 1) for each used c, then (u, 0); on
+        # a component's first vertex or without pushing, (c, 0) for c <= u
+        two = pushing and not starts[i]
+        j = tried[i]
+        if j == (2 * u + (u < k) if two else min(u + 1, k)):
+            if i == 0:
+                return None
+            i -= 1
+            continue
+        if spent == allowance:
+            return _UNDECIDED
+        spent += 1
+        if not tracker.spend():
+            return None
+        tried[i] = j + 1
+        c, t = (j >> 1, j & 1) if two else (j, 0)
+        incs = added[i] = []
+        for p, leaves in earlier[i]:
+            a = col[p]
+            if a == c:
+                break
+            if leaves ^ bit[p] ^ t:
+                fwd, back = c * k + a, a * k + c
+            else:
+                fwd, back = a * k + c, c * k + a
+            if rel[back]:
+                break
+            rel[fwd] += 1
+            incs.append(fwd)
+        else:
+            col[i], bit[i] = c, t
+            i += 1
+            if i == n:
+                return col, bit
+            used[i] = u + (c == u)
+            tried[i] = 0
+            added[i] = []
+            continue
+        for x in incs:
+            rel[x] -= 1
+        incs.clear()
+
+
+def _check_quotient(g: OrientedGraph, order, colouring, k: int, pushing: bool) -> None:
+    """Identify each colour class of g, pushed by the colouring's bits, to
+    one vertex; identify_vertices refuses a loop or a 2-cycle."""
+    col, bit = colouring
+    classes: list[list[int]] = [[] for _ in range(k)]
+    for v, c in zip(order, col):
+        classes[c].append(v)
+    presented = push(g, [v for v, t in zip(order, bit) if t]) if pushing else g
+    try:
+        identify_vertices(presented, classes)
+    except GraphError as exc:
+        raise AssertionError(f"quotient search gave a bad colouring: {exc}") from None
+
+
+def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushing: bool):
+    """Smallest k <= max_k with a (push) homomorphism of g into a tournament
+    of order k.
+
+    Each k gets one quotient search.  Its absence proves that no tournament
+    of order k admits g, so none is tried.  A colouring is checked by
+    _check_quotient, and then the tournaments of order k are walked in
+    enumerate_tournaments order with find_hom or find_push_hom until the
+    first hit, which gives the target and the witness.
+
+    The quotient search may spend 16 (n + 1) nodes per tournament of order
+    k, so it never costs much more than the walk it replaces; past that the
+    walk decides the order instead.  The quotient search backtracks along a
+    fixed order without propagation, which on large sparse graphs can take
+    millions of nodes where the solver's arc consistency against each
+    tournament takes tens (the girth 8 witness at k = 3).  All searches
+    share one tracker; when it runs out the result is incomplete with lower
+    bound k.
+    """
     if not 0 <= max_k <= 7:
         raise GraphError("chromatic search supports target orders 0..7 only")
+    search = find_push_hom if pushing else find_hom
     tracker = _Tracker(budget)
+    layout = _quotient_layout(g)
     for k in range(max_k + 1):
-        for target in enumerate_tournaments(k):
+        targets = enumerate_tournaments(k)
+        allowance = 16 * (g.n + 1) * len(targets)
+        colouring = _quotient_colouring(layout, k, pushing, tracker, allowance)
+        if tracker.exhausted:
+            return ChromaticResult(None, None, None, k, False, tracker.nodes, tracker.seconds)
+        if colouring is None:
+            continue
+        if colouring is not _UNDECIDED:
+            _check_quotient(g, layout[0], colouring, k, pushing)
+        for target in targets:
             hit = search(g, target, _tracker=tracker).hit
             if hit is not None:
-                return ChromaticResult(
-                    k, target, hit, k, True, tracker.nodes, tracker.seconds
-                )
+                return ChromaticResult(k, target, hit, k, True, tracker.nodes, tracker.seconds)
             if tracker.exhausted:
-                return ChromaticResult(
-                    None, None, None, k, False, tracker.nodes, tracker.seconds
-                )
+                return ChromaticResult(None, None, None, k, False, tracker.nodes, tracker.seconds)
+        if colouring is not _UNDECIDED:
+            raise AssertionError(f"no tournament of order {k} admits a quotient-coloured graph")
     return ChromaticResult(
         None, None, None, max_k + 1, True, tracker.nodes, tracker.seconds
     )
@@ -272,11 +433,11 @@ def oriented_chromatic_number(
     g: OrientedGraph, max_k: int = 7, budget: SearchBudget | None = None
 ) -> ChromaticResult:
     """Smallest tournament order <= max_k admitting a homomorphism from g."""
-    return _chromatic(g, max_k, budget, find_hom)
+    return _chromatic(g, max_k, budget, False)
 
 
 def push_chromatic_number(
     g: OrientedGraph, max_k: int = 7, budget: SearchBudget | None = None
 ) -> ChromaticResult:
     """Smallest tournament order <= max_k admitting a push homomorphism from g."""
-    return _chromatic(g, max_k, budget, find_push_hom)
+    return _chromatic(g, max_k, budget, True)

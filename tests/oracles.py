@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (permutations, subset enumeration,
 full mapping enumeration) and shares no code with the implementation paths
-it validates.  `time_limit` guards tests whose regression would be a hang.
+it validates, except chromatic_by_tournaments, which runs the package's
+solver once per tournament class where the package runs one quotient search
+per order.  `time_limit` guards tests whose regression would be a hang.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from pushgraph import OrientedGraph
+from pushgraph.hom import ChromaticResult, enumerate_tournaments, find_hom, find_push_hom
+from pushgraph.search import _Tracker
 
 
 def random_oriented_graph(rng: random.Random, n: int, p: float = 0.4) -> OrientedGraph:
@@ -175,6 +179,23 @@ def all_push_homs(g: OrientedGraph, h: OrientedGraph):
             if all(h.has_arc(image[u], image[v]) for u, v in presented.arcs):
                 found.append((vector, image))
     return found
+
+
+def chromatic_by_tournaments(g: OrientedGraph, max_k: int, pushing: bool, budget=None):
+    """The chromatic search that tries every tournament class: for k = 0, 1,
+    ..., run the solver into each tournament of order k, in
+    enumerate_tournaments order, and stop at the first hit; all runs share
+    one budget of nodes."""
+    tracker = _Tracker(budget)
+    search = find_push_hom if pushing else find_hom
+    for k in range(max_k + 1):
+        for target in enumerate_tournaments(k):
+            hit = search(g, target, _tracker=tracker).hit
+            if hit is not None:
+                return ChromaticResult(k, target, hit, k, True, tracker.nodes, tracker.seconds)
+            if tracker.exhausted:
+                return ChromaticResult(None, None, None, k, False, tracker.nodes, tracker.seconds)
+    return ChromaticResult(None, None, None, max_k + 1, True, tracker.nodes, tracker.seconds)
 
 
 class _Overrun(BaseException):

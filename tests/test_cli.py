@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pushgraph import push
+from pushgraph import OrientedGraph, push
 from pushgraph.cli import main
 from pushgraph.graph import emit_graph, parse_graph
 from pushgraph.families import directed_cycle, random_outerplanar, uc4
@@ -153,14 +153,34 @@ def test_chroma_budget_exhaustion_exits_3(tmp_path, capsys):
 
     path = tmp_path / "witness.graph"
     path.write_text(emit_graph(girth8_witness()))
+    # orders 0-2 take 132 nodes, so the budget runs out at order 3
     code, out, _ = run_cli(
-        capsys, "chroma", "push", str(path), "--max-k", "3", "--budget-nodes", "5"
+        capsys, "chroma", "push", str(path), "--max-k", "3", "--budget-nodes", "500"
     )
     assert code == 3
     payload = json.loads(out)
     assert payload["complete"] is False
     assert payload["value"] is None
     assert payload["lowerBound"] == 3
+
+
+def test_chroma_beyond_the_recursion_limit(tmp_path, capsys):
+    # the quotient search keeps one choice point per vertex of a 5000-vertex
+    # path, deeper than Python's default stack
+    rng = random.Random(3)
+    arcs = [(i, i + 1) if rng.random() < 0.5 else (i + 1, i) for i in range(4999)]
+    g = OrientedGraph(5000, tuple(arcs))
+    path = tmp_path / "path.graph"
+    path.write_text(emit_graph(g))
+    with time_limit(30):
+        code, out, _ = run_cli(capsys, "chroma", "push", str(path), "--max-k", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == 2
+    witness = payload["witness"]
+    target = parse_graph(witness["target"])
+    pushed = push_by_hand(g, witness["pushVector"])
+    assert all(target.has_arc(witness["mapping"][u], witness["mapping"][v]) for u, v in pushed.arcs)
 
 
 def test_color_sparse_and_audit(tmp_path, capsys):

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushgraph import (
     GraphError,
@@ -24,6 +26,7 @@ from pushgraph.graph import emit_graph
 from pushgraph.verify import enumerate_oriented_graphs
 
 from oracles import (
+    chromatic_by_tournaments,
     hom_by_enumeration,
     push_by_hand,
     push_hom_by_double_enumeration,
@@ -242,6 +245,39 @@ def test_push_chromatic_monotone_under_subgraphs():
         )
 
 
+@st.composite
+def small_graphs(draw) -> OrientedGraph:
+    """An oriented graph on at most 7 vertices: each pair gets no arc or an
+    arc either way, with a drawn chance of an arc."""
+    n = draw(st.integers(0, 7))
+    density = draw(st.sampled_from((0.2, 0.5, 0.8, 1.0)))
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.floats(0, 1)) < density:
+                arcs.append((u, v) if draw(st.booleans()) else (v, u))
+    return OrientedGraph(n, tuple(arcs))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(small_graphs(), st.booleans(), st.integers(1, 300))
+def test_chromatic_agrees_with_the_per_tournament_oracle(g, pushing, nodes):
+    # one quotient search per order gives the outcome of one solver run per
+    # tournament class, and a truncated search never claims more than it
+    # proved
+    chromatic = push_chromatic_number if pushing else oriented_chromatic_number
+    expected = chromatic_by_tournaments(g, 7, pushing)
+    res = chromatic(g)
+    assert (res.value, res.target, _hit(res.witness), res.lower_bound, res.complete) == (
+        expected.value, expected.target, _hit(expected.witness), expected.lower_bound, True
+    )
+    truncated = chromatic(g, budget=SearchBudget(max_nodes=nodes))
+    if truncated.complete:
+        assert (truncated.value, truncated.target) == (res.value, res.target)
+    else:
+        assert truncated.value is None and truncated.lower_bound <= expected.value
+
+
 def test_lemma_reduction_on_samples():
     # hom into the anti-twinned target iff a presentation maps directly
     rng = random.Random(7)
@@ -294,28 +330,41 @@ def _sha256(lines) -> str:
 
 def test_solver_results_match_pinned_digests():
     # witnesses and node counts pin the solver's variable and value order
-    # and the points where it spends a node
+    # and the points where it spends a node; a chromatic outcome (value,
+    # target, witness, lower bound, completeness) is pinned apart from its
+    # node count, which the quotient search's order sets
     classes = [g for n in range(6) for g in enumerate_oriented_graphs(n)]
 
-    def chromatic(res):
+    def outcome(res):
         target = res.target and emit_graph(res.target)
-        return repr((res.value, target, _hit(res.witness), res.lower_bound, res.complete, res.nodes))
+        return repr((res.value, target, _hit(res.witness), res.lower_bound, res.complete))
 
-    assert _sha256(chromatic(push_chromatic_number(g)) for g in classes) == (
-        "113a7fa6a98e84a9118d4d3ede81f42dfa1cd578870e694f262e51bc5134492a"
+    def pinned(results, outcomes, nodes):
+        assert _sha256(outcome(res) for res in results) == outcomes
+        assert _sha256(repr(res.nodes) for res in results) == nodes
+
+    pinned(
+        [push_chromatic_number(g) for g in classes],
+        "aca84325ff004afddde4cc51377abbeddd50313d964515f7a95a5e71ac2b454c",
+        "5a57f6c8470ee23c6762ba0a1cf01b8547ed1c635416dfe638b6d4357e9b5b1f",
     )
-    assert _sha256(chromatic(oriented_chromatic_number(g)) for g in classes) == (
-        "0fbd16ad1d02c8b73d043c6be7209927c140ce72cee93b5d16969045ed9762da"
+    pinned(
+        [oriented_chromatic_number(g) for g in classes],
+        "71e26e087c2417d4cb1423173c1b7f99de646aadfa3fa53cd5045fef4090163e",
+        "ba7eb2063712c40c8f91537f56c5fdf2ddfa1278dacba00ec795471560ea6d3b",
     )
     # random 12-vertex graphs make both chromatic searches backtrack
     rng = random.Random(1)
     backtracking = [random_oriented_graph(rng, 12, 0.3) for _ in range(30)]
-    lines = [
-        chromatic(search(g))
-        for g in backtracking
-        for search in (push_chromatic_number, oriented_chromatic_number)
-    ]
-    assert _sha256(lines) == "fc8da05d40bb7e8ee4527def62440ab606dc97470aaf715debb6a7ff9d9edf62"
+    pinned(
+        [
+            search(g)
+            for g in backtracking
+            for search in (push_chromatic_number, oriented_chromatic_number)
+        ],
+        "905b890ba43bc90487067c5f47c7ad9b9bbe81a5e25e7f4b464de5550d56e05f",
+        "30feb128d2165baf61b38ea5a75a80e9fe07aea39a32ed89ef0cd23cc6658106",
+    )
     expected = {
         1: "ff5efdd0c7ddbaa6589e0f3aea30740d66f080775478f419a8db22373d4969c3",
         3: "474dfadde6f89fe6fd2a4c440322889d57e2f7ea084d53d566b01f0bac1d0ff1",

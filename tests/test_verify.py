@@ -198,7 +198,7 @@ FAULTS = {
             (coloring, "color_outerplanar_g5", _counterexample_found),
         ],
         {"outerplanar5/path-lemma-oracle", "outerplanar5/path-lemma-values", "outerplanar5/instances"},
-        "3e619de47aa0a526828eae78fbae27f1cae0389e7c287db828eb599916f31cbd",
+        "9a364a7a06500a9f86b504a8a8b7a8a143e0c6bf042a29fcd88f1b453a22523b",
     ),
     "girth8-upper": (
         "girth8-upper",
@@ -208,7 +208,7 @@ FAULTS = {
             (verify, "max_average_degree", lambda g: 0),
         ],
         {"girth8/sparse-instances", "girth8/discharge-contrapositive"},
-        "55d84d90d5530bcde0c886ea76e125b6654f5548a235142af54bbb8dfec5aa9e",
+        "bfbc510a4135d09ffbaa2298342b69160cd5493cdaef7f21d49a5836f93debd3",
     ),
     "sandwich": (
         "sandwich", {"max_n": 3}, [(hom, "oriented_chromatic_number", _no_value)],
@@ -266,24 +266,27 @@ def test_refutation_survives_a_later_budget_exhaustion(monkeypatch):
     assert check["counterexample"] == {"graphs": ["oriented 0\n", "oriented 0\n"]}
 
 
+_FORCED_PAIR_DETAIL = (
+    "gadget constructed with validated 5-cycles; identity images give max "
+    "agree/disagree 4 and 4 (>= 4); all 20 tournaments on <= 5 vertices "
+    "refused (forced >= 4 common neighbors)"
+)
+
+
 @pytest.mark.parametrize(
     "nodes, status, detail",
     [
         (1, "exhausted-budget", "search truncated after 2 nodes"),
         (40, "exhausted-budget", "search truncated after 41 nodes"),
         (100, "exhausted-budget", "search truncated after 101 nodes"),
-        (
-            None,
-            "pass",
-            "gadget constructed with validated 5-cycles; identity images give max "
-            "agree/disagree 4 and 4 (>= 4); all 20 tournaments on <= 5 vertices "
-            "refused (forced >= 4 common neighbors)",
-        ),
+        (102, "pass", _FORCED_PAIR_DETAIL),
+        (None, "pass", _FORCED_PAIR_DETAIL),
     ],
 )
 def test_forced_pair_overlap_spends_one_budget(nodes, status, detail):
-    # the chromatic search of all 21 tournaments on <= 5 vertices shares one
-    # budget of nodes, so it runs out where no single search would
+    # the quotient searches of orders 1-5 take 3 + 8 + 15 + 32 + 44 = 102
+    # nodes from one budget and try no tournament, so it runs out at 100
+    # where no single search would, and 102 suffices
     budget = None if nodes is None else SearchBudget(max_nodes=nodes)
     report = run_suite("gadgets-p3", budget=budget)
     (check,) = [c for c in report.checks if c.id == "gadgets/forced-pair-overlap"]
