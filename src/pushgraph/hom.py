@@ -190,8 +190,8 @@ def brute_force_push_hom(
     if g.n > 16:
         raise GraphError(f"brute_force_push_hom size limit exceeded: n={g.n}")
     tracker = _Tracker(budget)
-    for vector, presented in _presentations(g):
-        mapping = find_hom(presented, h, _tracker=tracker).mapping
+    for vector, arcs in _presentations(g):
+        mapping = find_hom(OrientedGraph(g.n, arcs), h, _tracker=tracker).mapping
         if mapping is not None:
             witness = PushHomWitness(vector, mapping)
             return PushHomResult(witness, True, tracker.nodes, tracker.seconds)

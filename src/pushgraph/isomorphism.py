@@ -338,65 +338,132 @@ def _find_isomorphism(
 def canonical_code(g: OrientedGraph) -> bytes:
     """Canonical byte string: equal codes iff the graphs are isomorphic.
 
-    Minimizes the layered adjacency-bit string over every vertex order that
-    lists refined colors in nondecreasing order.  Branch and bound with exact
-    prefix pruning: a branch is cut only when its prefix already exceeds the
-    best complete string, so the reported minimum is exhaustive.  A vertex is
-    placed only after its previous twin (same out- and in-neighbourhood):
-    swapping two twins is an automorphism that fixes every other vertex, so
-    every order has a twin-sorted order with the same string, and the
-    minimum is unchanged.
+    The minimum layered adjacency string over every vertex order that lists
+    refined colors in nondecreasing order: the layer of the k-th vertex v is
+    a 1 followed by two bits per earlier vertex u, oldest first (u -> v,
+    then v -> u).  If every color is distinct there is one such order;
+    otherwise a depth-first search over the orders finds the minimum, with
+    each unplaced vertex carrying its layer as if it came next (two bits
+    longer per placed vertex).  The search is exact:
+
+    - A branch is cut only when its prefix already exceeds the best complete
+      string, so every string left unexplored is at least the minimum.
+    - A vertex is placed only after its previous twin (same out- and
+      in-neighbourhood).  Any permutation of a twin class is an automorphism
+      that fixes every other vertex, so the unplaced twins of any completion
+      of a prefix can be sorted without changing its string: below every
+      prefix the twin-ordered minimum is the minimum over all completions.
+    - A leaf whose string equals the best one gives an automorphism, the
+      map from the best order to the leaf's order, position by position.
+      An automorphism that fixes a prefix point by point and maps a child
+      c to c' maps the completions below c onto those below c', with the
+      same strings; by the point above, the searched (twin-ordered) minima
+      below both are those minima.  So a child in the orbit of an explored
+      sibling, under the automorphisms found so far that fix the prefix, is
+      skipped.  The leaf's own branch is such a child at the depth where its
+      order leaves the best one, so the search returns to that depth at once
+      (McKay & Piperno, "Practical graph isomorphism, II", 2014).
     """
-    n = g.n
+    return _code(g.n, g.arcs)
+
+
+def _code(n: int, arcs: Iterable[tuple[int, int]]) -> bytes:
+    """canonical_code of the graph on n vertices with these arcs, which must
+    form an oriented graph; n over CANONICAL_SIZE_LIMIT is refused."""
     if n > CANONICAL_SIZE_LIMIT:
         raise GraphError(f"canonical_code limit exceeded: n={n} > {CANONICAL_SIZE_LIMIT}")
-    if n == 0:
-        return b"0|"
-    colors = refine_colors(g)
-    out, inn = g.out_masks, g.in_masks
+    adj = [[0] * n for _ in range(n)]  # adj[u][v]: 2 for u -> v, 1 for v -> u
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    ends: list[list[int]] = [[] for _ in range(n)]  # as in _directed_ends
+    out, inn = [0] * n, [0] * n
+    for u, v in arcs:
+        adj[u][v], adj[v][u] = 2, 1
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        ends[u].append(v)
+        ends[v].append(u + n)
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    colors = _refine(nbrs, ends, [(o.bit_count(), i.bit_count()) for o, i in zip(out, inn)])
+    if max(colors, default=-1) == n - 1:  # discrete colors: one order to try
+        return _layer_string(adj, sorted(range(n), key=colors.__getitem__))
     twin = _previous_twins(zip(out, inn))
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    cell_at = [cells[c] for c in sorted(colors)]  # the class the k-th vertex comes from
 
     order: list[int] = []
     layers: list[int] = []
     taken = [False] * n
-    best: list[int] | None = None
+    best: list[int] = []
+    best_order: list[int] = []
+    autos: list[list[int]] = []
+    back_to = n  # after an automorphism, the depth the search returns to
 
-    def layer_of(v: int) -> int:
-        # arcs between v and the already-ordered vertices, oldest first
-        bits = 1  # sentinel keeps leading zero-bits significant
-        for u in order:
-            bits = bits << 2 | (out[u] >> v & 1) << 1 | (inn[u] >> v & 1)
-        return bits
-
-    def dfs() -> None:
-        nonlocal best
-        k = len(order)
-        if k == n:
-            if best is None or layers < best:
-                best = layers.copy()
-            return
-        remaining = [v for v in range(n) if not taken[v]]
-        min_color = min(colors[v] for v in remaining)
-        cands = sorted(
-            (layer_of(v), v)
-            for v in remaining
-            if colors[v] == min_color and (twin[v] == -1 or taken[twin[v]])
-        )
+    def dfs(k: int, partial: list[int], tied: bool) -> bool:
+        # k < n vertices are placed; partial[v]: v's layer if it came next;
+        # tied: layers == best[:k].  Returns whether best was lowered below.
+        nonlocal best, best_order, back_to
+        cands = [
+            (partial[v], v) for v in cell_at[k] if not taken[v] and (twin[v] == -1 or taken[twin[v]])
+        ]
+        cands.sort()
+        lowered = False
+        explored: list[int] = []
+        orbit: list[int] = []  # orbit labels under the automorphisms fixing order
+        seen = 0  # the automorphisms merged into orbit so far
         for layer, v in cands:
-            # layers[:k] <= best[:k] always holds here; prune only on a tie
-            if best is not None and layers == best[:k] and layer > best[k]:
+            if tied and layer > best[k]:
                 break
+            if explored and len(autos) > seen:
+                orbit = orbit or list(range(n))
+                for auto in autos[seen:]:
+                    if all(auto[u] == u for u in order):
+                        for x, y in enumerate(auto):
+                            if orbit[x] != orbit[y]:
+                                old = orbit[y]
+                                orbit = [orbit[x] if c == old else c for c in orbit]
+                seen = len(autos)
+            if orbit and orbit[v] in {orbit[c] for c in explored}:
+                continue
             layers.append(layer)
             taken[v] = True
             order.append(v)
-            dfs()
+            if k + 1 < n:
+                if dfs(k + 1, [p << 2 | a for p, a in zip(partial, adj[v])], tied and layer == best[k]):
+                    tied = lowered = True
+            elif tied and layer == best[k]:  # a leaf with the best string
+                auto = [0] * n
+                for x, y in zip(best_order, order):
+                    auto[x] = y
+                autos.append(auto)
+                back_to = next(i for i, (x, y) in enumerate(zip(best_order, order)) if x != y)
+            else:  # a leaf below the best string
+                best, best_order = layers.copy(), order.copy()
+                tied = lowered = True
             order.pop()
             taken[v] = False
             layers.pop()
+            if back_to < k:
+                return lowered
+            back_to = n
+            explored.append(v)
+        return lowered
 
-    dfs()
-    assert best is not None
-    return (f"{n}|" + ",".join(map(str, best))).encode()
+    dfs(0, [1] * n, False)
+    return _layer_string(adj, best_order)
+
+
+def _layer_string(adj: list[list[int]], order: list[int]) -> bytes:
+    """The code of a vertex order: n, then each vertex's layer, a 1 and then
+    adj[u][v] for every earlier vertex u, oldest first, two bits each."""
+    layers = []
+    partial = [1] * len(order)  # partial[v]: v's layer if it came next
+    for v in order:
+        layers.append(partial[v])
+        partial = [p << 2 | a for p, a in zip(partial, adj[v])]
+    return (f"{len(order)}|" + ",".join(map(str, layers))).encode()
 
 
 def _augment(

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graph import FormatError, GraphError, OrientedGraph, _bits, emit_graph
+from .graph import Arc, FormatError, GraphError, OrientedGraph, _bits, emit_graph
 from .isomorphism import (
     IsoCertificate,
+    _code,
     _find_isomorphism,
-    canonical_code,
     is_homomorphism,
     is_isomorphism,
 )
@@ -89,13 +89,15 @@ def push(g: OrientedGraph, vertices: Iterable[int]) -> OrientedGraph:
     return OrientedGraph(g.n, arcs)
 
 
-def _presentations(g: OrientedGraph) -> Iterator[tuple[frozenset[int], OrientedGraph]]:
-    """(vector, push(g, vector)) for every push vector avoiding g's last
-    vertex, in binary-count order from the empty one: a set and its
-    complement push g alike, so these are all of g's presentations."""
+def _presentations(g: OrientedGraph) -> Iterator[tuple[frozenset[int], tuple[Arc, ...]]]:
+    """(vector, the arcs of push(g, vector)) for every push vector avoiding
+    g's last vertex, in binary-count order from the empty one: a set and its
+    complement push g alike, so these are all of g's presentations.  Pushing
+    keeps a graph oriented, so the arcs, each in the place of the arc of g
+    it reverses or keeps, need no validation."""
     for bits in range(1 << max(g.n - 1, 0)):
         vector = frozenset(v for v in range(g.n) if bits >> v & 1)
-        yield vector, push(g, vector)
+        yield vector, tuple((v, u) if (bits >> u ^ bits >> v) & 1 else (u, v) for u, v in g.arcs)
 
 
 def anti_twinned(g: OrientedGraph) -> OrientedGraph:
@@ -297,9 +299,9 @@ def push_orbit(g: OrientedGraph) -> list[bytes]:
     """Sorted canonical codes of every push of g, deduplicated.
 
     Every push has g's order, so g must be within canonical_code's size
-    limit.
+    limit.  Each push is coded from its arcs, with no graph built.
     """
-    return sorted({canonical_code(pushed) for _, pushed in _presentations(g)})
+    return sorted({_code(g.n, arcs) for _, arcs in _presentations(g)})
 
 
 def parse_push_vector(text: str) -> frozenset[int]:

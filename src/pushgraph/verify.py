@@ -156,13 +156,18 @@ def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
     graphs = _all_classes(max_n)
 
     with suite.check("antitwin/partitions") as verdict:
-        orbit_key = [tuple(push_orbit(g)) for g in graphs]
-        anti_key = [canonical_code(anti_twinned(g)) for g in graphs]
+        # pushing is a group action, so a graph whose code lies in a computed
+        # orbit has that orbit, and push_orbit runs once per push class
+        orbit_of: dict[bytes, tuple] = {}
         by_orbit: dict = {}
         by_anti: dict = {}
         for idx, g in enumerate(graphs):
-            by_orbit.setdefault(orbit_key[idx], []).append(idx)
-            by_anti.setdefault(anti_key[idx], []).append(idx)
+            orbit = orbit_of.get(canonical_code(g))
+            if orbit is None:
+                orbit = tuple(push_orbit(g))
+                orbit_of.update(dict.fromkeys(orbit, orbit))
+            by_orbit.setdefault(orbit, []).append(idx)
+            by_anti.setdefault(canonical_code(anti_twinned(g)), []).append(idx)
         partition_orbit = {frozenset(v) for v in by_orbit.values()}
         partition_anti = {frozenset(v) for v in by_anti.values()}
         ok = partition_orbit == partition_anti

@@ -105,6 +105,59 @@ def refine_colors_by_rounds(g: OrientedGraph) -> tuple[int, ...]:
         colors = new_colors
 
 
+def canonical_code_by_layers(g: OrientedGraph) -> bytes:
+    """The minimum layered adjacency string over every colour-sorted vertex
+    order, by branch and bound with exact prefix pruning: each candidate's
+    layer is rebuilt from the whole prefix, and a vertex is placed only
+    after its previous twin (same out- and in-neighbourhood)."""
+    n = g.n
+    if n == 0:
+        return b"0|"
+    colors = refine_colors_by_rounds(g)
+    out = [sum(1 << v for u, v in g.arcs if u == x) for x in range(n)]
+    inn = [sum(1 << u for u, v in g.arcs if v == x) for x in range(n)]
+    twin = [max((u for u in range(v) if (out[u], inn[u]) == (out[v], inn[v])), default=-1)
+            for v in range(n)]
+    order: list[int] = []
+    layers: list[int] = []
+    taken = [False] * n
+    best = None
+
+    def layer_of(v: int) -> int:
+        bits = 1  # sentinel keeps leading zero-bits significant
+        for u in order:
+            bits = bits << 2 | (out[u] >> v & 1) << 1 | (inn[u] >> v & 1)
+        return bits
+
+    def dfs() -> None:
+        nonlocal best
+        k = len(order)
+        if k == n:
+            if best is None or layers < best:
+                best = layers.copy()
+            return
+        remaining = [v for v in range(n) if not taken[v]]
+        min_color = min(colors[v] for v in remaining)
+        cands = sorted(
+            (layer_of(v), v)
+            for v in remaining
+            if colors[v] == min_color and (twin[v] == -1 or taken[twin[v]])
+        )
+        for layer, v in cands:
+            if best is not None and layers == best[:k] and layer > best[k]:
+                break
+            layers.append(layer)
+            taken[v] = True
+            order.append(v)
+            dfs()
+            order.pop()
+            taken[v] = False
+            layers.pop()
+
+    dfs()
+    return (f"{n}|" + ",".join(map(str, best))).encode()
+
+
 def disjoint_union(graphs) -> OrientedGraph:
     """Disjoint union with vertex ids shifted in list order."""
     arcs = []

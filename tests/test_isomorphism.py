@@ -22,6 +22,7 @@ from pushgraph.isomorphism import _joint_colors, _underlying_colors, refine_colo
 from pushgraph.verify import enumerate_oriented_graphs
 
 from oracles import (
+    canonical_code_by_layers,
     disjoint_union,
     iso_by_permutations,
     random_oriented_graph,
@@ -152,6 +153,51 @@ def test_canonical_code_of_edgeless_graphs_returns():
     with time_limit(5):
         assert canonical_code(OrientedGraph(16)) == expected
         assert canonical_code(anti_twinned(OrientedGraph(8))) == expected
+
+
+def test_canonical_code_of_disjoint_directed_cycles_returns():
+    # one colour class of 16 vertices and no twins: without the automorphisms
+    # found on the way, the search tried orders for about 35 s
+    g = disjoint_union([directed_cycle(4)] * 4)
+    with time_limit(2):
+        assert canonical_code(g) == canonical_code(g.relabel(list(range(16))[::-1]))
+
+
+def _qr7() -> OrientedGraph:
+    """The Paley tournament on Z_7: i -> j iff j - i is a square mod 7."""
+    return OrientedGraph(7, tuple((i, (i + d) % 7) for i in range(7) for d in (1, 2, 4)))
+
+
+SYMMETRIC = (
+    *(disjoint_union([directed_cycle(size)] * count)
+      for size in range(3, 13) for count in range(1, 12 // size + 1)),
+    *(OrientedGraph(n) for n in (1, 5, 12, 16)),
+    _qr7(),
+    anti_twinned(_qr7()),
+)
+
+
+@st.composite
+def code_pairs(draw):
+    """A random graph on up to 12 vertices, the anti-twinned graph of one on
+    up to 6, or a symmetric graph; with a relabelled copy."""
+    kind = draw(st.sampled_from(("random", "anti-twinned", "symmetric")))
+    if kind == "symmetric":
+        g = draw(st.sampled_from(SYMMETRIC))
+    else:
+        n = draw(st.integers(0, 12 if kind == "random" else 6))
+        density = draw(st.sampled_from((0.1, 0.3, 0.5, 0.8, 1.0)))
+        g = random_oriented_graph(random.Random(draw(st.integers(0, 2**32))), n, density)
+        if kind == "anti-twinned":
+            g = anti_twinned(g)
+    return g, g.relabel(draw(st.permutations(range(g.n))))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(code_pairs())
+def test_canonical_code_matches_the_layer_search(pair):
+    g, h = pair
+    assert canonical_code(g) == canonical_code(h) == canonical_code_by_layers(g)
 
 
 @st.composite

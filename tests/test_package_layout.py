@@ -195,7 +195,7 @@ def test_recursion_only_where_its_depth_is_bounded():
         # one level per tournament order, k <= 7
         "hom.enumerate_tournaments",
         # one level per placed vertex, n <= CANONICAL_SIZE_LIMIT
-        "isomorphism.canonical_code.dfs",
+        "isomorphism._code.dfs",
         # one level per row of the 9-vertex tournament, depth 9
         "verify.nine_tournament_constraint_search.place_row",
         # one level per order below n; callers fill its cache bottom-up
