@@ -90,17 +90,19 @@ def _solve(g: OrientedGraph, h: OrientedGraph, tracker: _Tracker):
     def propagate(changed: list[int], trail: list[tuple[int, int]]) -> bool:
         while changed:
             b = changed.pop()
-            dom_b = domains[b]
+            # a value of a neighbour of b survives if it is an out-neighbour
+            # (for an arc b -> a) or an in-neighbour of some value of b
+            succ = pred = 0
+            rem = domains[b]
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                x = low.bit_length() - 1
+                succ |= h_out[x]
+                pred |= h_in[x]
             for a, b_to_a in constraints[b]:
                 da = domains[a]
-                new = 0
-                rem = da
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    x = low.bit_length() - 1
-                    if (h_in[x] if b_to_a else h_out[x]) & dom_b:
-                        new |= low
+                new = da & (succ if b_to_a else pred)
                 if new != da:
                     trail.append((a, da))
                     domains[a] = new
@@ -233,6 +235,13 @@ def enumerate_tournaments(k: int) -> tuple[OrientedGraph, ...]:
     return _augment(
         enumerate_tournaments(new), k, [((new, i), (i, new)) for i in reversed(range(new))]
     )
+
+
+@lru_cache(maxsize=None)
+def _anti_twinned_tournaments(k: int) -> tuple[OrientedGraph, ...]:
+    """anti_twinned of each tournament of order k, in enumeration order: the
+    hosts that find_push_hom would build for the push walk."""
+    return tuple(anti_twinned(t) for t in enumerate_tournaments(k))
 
 
 @dataclass(frozen=True)
@@ -389,8 +398,10 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushin
     Each k gets one quotient search.  Its absence proves that no tournament
     of order k admits g, so none is tried.  A colouring is checked by
     _check_quotient, and then the tournaments of order k are walked in
-    enumerate_tournaments order with find_hom or find_push_hom until the
-    first hit, which gives the target and the witness.
+    enumerate_tournaments order with find_hom until the first hit, which
+    gives the target and the witness.  A push walk searches each
+    tournament's anti-twinned graph, built once per order for every call,
+    and folds the hit as find_push_hom does.
 
     The quotient search may spend 16 (n + 1) nodes per tournament of order
     k, so it never costs much more than the walk it replaces; past that the
@@ -403,7 +414,6 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushin
     """
     if not 0 <= max_k <= 7:
         raise GraphError("chromatic search supports target orders 0..7 only")
-    search = find_push_hom if pushing else find_hom
     tracker = _Tracker(budget)
     layout = _quotient_layout(g)
     for k in range(max_k + 1):
@@ -416,9 +426,11 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushin
             continue
         if colouring is not _UNDECIDED:
             _check_quotient(g, layout[0], colouring, k, pushing)
-        for target in targets:
-            hit = search(g, target, _tracker=tracker).hit
-            if hit is not None:
+        hosts = _anti_twinned_tournaments(k) if pushing else targets
+        for target, host in zip(targets, hosts):
+            mapping = find_hom(g, host, _tracker=tracker).mapping
+            if mapping is not None:
+                hit = fold_to_push_witness(g, target, mapping) if pushing else mapping
                 return ChromaticResult(k, target, hit, k, True, tracker.nodes, tracker.seconds)
             if tracker.exhausted:
                 return ChromaticResult(None, None, None, k, False, tracker.nodes, tracker.seconds)

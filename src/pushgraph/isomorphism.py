@@ -472,10 +472,13 @@ def _augment(
     """The classes on n vertices from those on n - 1, in code order: each
     tuple of alternatives offers the arcs (None: no arc) between vertex n - 1
     and one earlier vertex; extensions are tried in product order and the
-    first of each canonical code is kept (McKay, J. Algorithms 1998)."""
+    first of each canonical code is kept (McKay, J. Algorithms 1998); only
+    a kept extension is built as a graph."""
     found: dict[bytes, OrientedGraph] = {}
     for base in classes:
         for choice in product(*alternatives):
-            g = OrientedGraph(n, base.arcs + tuple(arc for arc in choice if arc is not None))
-            found.setdefault(canonical_code(g), g)
+            arcs = base.arcs + tuple(arc for arc in choice if arc is not None)
+            code = _code(n, arcs)
+            if code not in found:
+                found[code] = OrientedGraph(n, arcs)
     return tuple(found[code] for code in sorted(found))

@@ -18,7 +18,7 @@ from pushgraph import (
     underlying_girth,
 )
 from pushgraph.coloring import color_outerplanar_g5, discharge_audit, push_color_to_paley
-from pushgraph.density import mad_less_than
+from pushgraph.density import _peel, mad_less_than
 from pushgraph.push import parse_push_vector
 from pushgraph.families import (
     b0,
@@ -230,6 +230,78 @@ def test_mad_and_threshold_agree_with_subset_enumeration(g):
 @given(st.one_of(forests(), cycle_beside_tree()))
 def test_peeled_mad_and_threshold_agree_with_subset_enumeration(g):
     _check_mad_against_subset_enumeration(g)
+
+
+@st.composite
+def thread_graphs(draw) -> OrientedGraph:
+    """Up to 14 vertices, relabelled at random: 1-4 branch vertices, each
+    pair joined by one to three threads of 0-5 interior vertices (parallel
+    ones need an interior), up to two threads back to a branch vertex, a
+    cycle with no branch vertex beside them or not, and pendant trees: the
+    shapes that the min cut contracts or the peel removes."""
+    limit = 14
+    k = draw(st.integers(1, 4))
+    n = k
+    edges: list[tuple[int, int]] = []
+
+    def chain(ends: list[int], shortest: int, closed: bool = False) -> None:
+        nonlocal n
+        if n + shortest > limit:
+            return
+        size = draw(st.integers(shortest, min(5, limit - n)))
+        path = [*ends[:1], *range(n, n + size), *ends[1:]]
+        n += size
+        edges.extend(zip(path, path[1:] + path[:1] if closed else path[1:]))
+
+    for a, b in combinations(range(k), 2):
+        for i in range(draw(st.integers(1, 3))):
+            chain([a, b], min(i, 1))
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(st.integers(0, k - 1))
+        chain([a, a], 2)
+    if draw(st.booleans()):
+        chain([], 3, closed=True)
+    pendants = draw(st.integers(0, limit - n))
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(n, n + pendants)]
+    n += pendants
+    perm = draw(st.permutations(range(n)))
+    arcs = [(perm[u], perm[v]) if draw(st.booleans()) else (perm[v], perm[u]) for u, v in edges]
+    return OrientedGraph(n, tuple(arcs))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(thread_graphs())
+def test_thread_contracted_mad_agrees_with_subset_enumeration(g):
+    _check_mad_against_subset_enumeration(g)
+
+
+def test_peel_lists_each_thread_once():
+    # a theta graph on branch vertices 0 and 1 (a direct arc and threads
+    # through 2 and through 3, 4), a thread 0 -> 5 -> 6 -> 0 back to its
+    # start, a pendant vertex 7, and a triangle 8, 9, 10 with no branch vertex
+    arcs = [(0, 1), (0, 2), (2, 1), (1, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 0), (7, 5),
+            (8, 9), (9, 10), (10, 8)]
+    core, branches, threads, forest = _peel(OrientedGraph(11, tuple(arcs)))
+    assert core == [0, 1, 2, 3, 4, 5, 6, 8, 9, 10]
+    assert branches == [0, 1]
+    assert sorted((a, b, tuple(interior)) for a, b, interior in threads) == [
+        (0, 0, (5, 6)), (0, 1, ()), (0, 1, (2,)), (0, 1, (4, 3))
+    ]
+    assert forest == 0
+
+
+def test_mad_less_than_on_a_lone_cycle():
+    # the core has no branch vertex, so the cut has nothing to contract
+    for n in (3, 4, 9):
+        cycle = directed_cycle(n)
+        assert mad_less_than(cycle, Fraction(2)) is False
+        assert mad_less_than(cycle, 2 + Fraction(1, 2 * n * n)) is True
+
+
+def test_mad_at_scale_runs_on_the_branch_graph():
+    # a 50,000-vertex graph whose 2-core is mostly threads of degree-2 vertices
+    with time_limit(3):
+        assert max_average_degree(random_sparse(50_000, 1)) == Fraction(4530, 2021)
 
 
 def test_mad_beyond_the_recursion_limit():
