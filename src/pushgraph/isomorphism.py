@@ -1,18 +1,21 @@
 """Digraph isomorphism, push equivalence search and canonical codes.
 
-Both searches first refine the colours of the two graphs together, as one
-disjoint union, and refute the pair at the first colour class that holds
-more vertices of one graph than of the other; they backtrack only inside
-colour classes.  One backtracking loop serves is_isomorphic and
+Both searches first split the vertices of the two graphs, as one disjoint
+union, from their degree classes into the coarsest equitable partition,
+taking splitter cells from a queue, and refute the pair at the first cell
+that holds more vertices of one graph than of the other; they backtrack only
+inside cells.  One backtracking loop serves is_isomorphic and
 push_equivalent: it gives each vertex of g an image in h and a push bit
 (always 0 for is_isomorphic), reading h through its adjacency lists and an
 arc set, never n-bit masks.  No search tries more than one order of twins.
+refine_colors and canonical_code number the same partition of one graph by
+plain rounds of ranking.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import chain, product
 from typing import Iterable, Sequence
@@ -51,13 +54,7 @@ def refine_colors(g: OrientedGraph) -> tuple[int, ...]:
     isomorphic graphs receive equal colors, and colors are dense from 0.  It
     is the fixed point of a round that ranks each vertex's signature (color,
     sorted out-neighbour colors, sorted in-neighbour colors) from all-zero
-    colors, so a class keeps its place and a split takes consecutive places
-    ordered by (out, in) color tuples, by (out, in)-degree in round one.  A
-    class is numbered by its first place, which orders classes as ranks do
-    and renumbers only the later parts of a split.  A class can split only
-    if a member has a neighbour whose number changed in the last round (else
-    its members' tuples are unchanged, and were equal), so each round signs
-    only those dirty classes; ranking the places at the end gives the colors.
+    colors, so round one ranks the vertices by (out, in)-degree.
 
     On anti_twinned(g) the colors are c + c for c = _underlying_colors(g):
     v -> v' is an automorphism there, so v and v' share a color in every
@@ -67,14 +64,14 @@ def refine_colors(g: OrientedGraph) -> tuple[int, ...]:
     with c alone.
     """
     ends, start = _directed_ends(g.n, g.arcs)
-    return _refine(g.adjacency, ends, start)
+    return _refine(ends, start)
 
 
 def _underlying_colors(g: OrientedGraph) -> tuple[int, ...]:
     """Refinement of g's underlying graph from its degree classes, signing a
     vertex by the sorted colors of its neighbours; refine_colors says why
     refine_colors(anti_twinned(g)) is these colors twice over."""
-    return _refine(g.adjacency, g.adjacency, list(map(len, g.adjacency)))
+    return _refine(g.adjacency, list(map(len, g.adjacency)))
 
 
 def _directed_ends(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], list]:
@@ -92,81 +89,85 @@ def _directed_ends(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[list[i
     return ends, [(len(e) - d, d) for e, d in zip(ends, in_degree)]
 
 
-def _refine(
-    nbrs: Sequence[Sequence[int]], ends: Sequence[Sequence[int]], start: list, half: int = 0
-) -> tuple[int, ...] | None:
-    """The loop of refine_colors: vertices start in classes of equal start
-    key, in key order; a member of a class is signed by the sorted colors of
-    ends[v], where colors[w + n] = colors[w] + n, and a class is signed only
-    when a neighbour (in nbrs) of one of its members moved in the last round.
-    Returns the colors, dense from 0 in place order.
+def _refine(ends: Sequence[Sequence[int]], start: Sequence) -> tuple[int, ...]:
+    """The loop of refine_colors: rank the start keys, then rank each
+    vertex's (color, sorted colors of ends[v]), where colors[w + n] =
+    colors[w] + n, until the partition is discrete or stops changing.
+    Returns the colors, dense from 0."""
+    n = len(start)
+    keys, classes = start, 0
+    while True:
+        rank = {key: c for c, key in enumerate(sorted(set(keys)))}
+        colors = [rank[key] for key in keys]
+        if len(rank) in (classes, n):
+            return tuple(colors)
+        classes = len(rank)
+        color_of = (colors + [c + n for c in colors]).__getitem__
+        keys = [(c, tuple(sorted(map(color_of, e)))) for c, e in zip(colors, ends)]
 
-    With half > 0 the vertices are those of g + h, g's below half, refined
-    together.  An isomorphism g -> h and its inverse map each class of every
-    round onto itself, so a class with unequal numbers of g- and h-vertices
-    refutes the pair, and the loop returns None at the first one, initial or
-    split off.  Refinement reads a vertex's own graph only, so the g-half of
-    the colors induces the stable partition that refining g alone gives.  A
-    class of one g- and one h-vertex can only split unbalanced; the loop
-    notes it when dirty and, once the others are stable, signs each noted
-    one (one never dirty keeps the equal signs it was formed with).  If none
-    splits, the partition is the stable one that signing them every round
-    reaches; if one does, that signing splits it too.
+
+def _joint_partition(
+    ends: Sequence[Sequence[int]], start: Sequence, half: int
+) -> tuple[int, ...] | None:
+    """The coarsest equitable partition of g + h (g's vertices below half)
+    that refines the classes of equal start key, whose members must have
+    equal (out, in)-degrees; a cell id per vertex, or None at the first cell
+    with unequal numbers of g- and h-vertices.  ends is as in _refine.
+
+    A FIFO queue holds the splitters, first every start cell but a largest.
+    A splitter counts each vertex's in-neighbours in it (weight 1) and
+    out-neighbours (weight n), and each cell splits by those counts: its
+    untouched members keep its id, or its largest part does if none is
+    untouched.  A split cell queues its new parts, smallest first, if it
+    was queued, else all its parts but a largest, as counts into that part
+    are counts into the cell, against which all is stable, less the others
+    (Hopcroft 1971; Paige & Tarjan 1987).  Each cell is a union of final
+    ones, which an isomorphism g -> h maps onto themselves, so an
+    unbalanced cell refutes the pair.  Counts read a vertex's own graph
+    only, so g's vertices are split as refining g alone splits them.
     """
     n = len(start)
-    by_key: dict = {}
-    for v, key in enumerate(start):
-        by_key.setdefault(key, []).append(v)
-    colors = [0] * (2 * n)  # the first place of each vertex's class
-    cells: dict[int, list[int]] = {}  # first place -> members, ascending
-    place = 0
-    for key in sorted(by_key):
-        cells[place] = members = by_key[key]
-        if half and bisect_left(members, half) * 2 != len(members):
-            return None
-        for v in members:
-            colors[v] = place
-            colors[v + n] = place + n
-        place += len(members)
-    color_of = colors.__getitem__
-    smallest = 4 if half else 2  # the smallest class that can split balanced
-    noted = []  # dirty classes of one g- and one h-vertex
-    moved = [v for v in range(n) if colors[v]]
-    while moved:
-        splits = []
-        for place in {colors[u] for v in moved for u in nbrs[v]}:
-            members = cells[place]
-            if len(members) < smallest:
-                if half:
-                    noted.append(place)
+    cells, cell_of = [set(range(n))], [0] * n
+    queue: deque[int] = deque()
+    waiting: set[int] = set()
+    count = dict(enumerate(start))  # the start keys split the cell of all vertices
+    touched = {0: list(range(n))}
+    while True:
+        for c, members in touched.items():
+            every = len(members) == len(cells[c])
+            if every and len({count[v] for v in members}) <= 1:
                 continue
-            parts: dict[tuple, list[int]] = {}
+            groups: dict = {}
             for v in members:
-                key = tuple(sorted(map(color_of, ends[v])))
-                parts.setdefault(key, []).append(v)
-            if len(parts) > 1:
-                split = [parts[key] for key in sorted(parts)]
-                if half:
-                    for part in split:
-                        if bisect_left(part, half) * 2 != len(part):
-                            return None
-                splits.append((place, split))
-        moved = []
-        for place, parts in splits:
-            cells[place] = parts[0]
-            for before, members in zip(parts, parts[1:]):
-                place += len(before)
-                cells[place] = members
-                for v in members:
-                    colors[v] = place
-                    colors[v + n] = place + n
-                moved += members
-    if noted:
-        signs = [sorted(map(color_of, ends[v])) for place in set(noted) for v in cells[place]]
-        if signs[::2] != signs[1::2]:
-            return None
-    rank = {place: c for c, place in enumerate(sorted(cells))}
-    return tuple(map(rank.__getitem__, colors[:n]))
+                groups.setdefault(count[v], []).append(v)
+            parts = sorted(groups.values(), key=len)
+            if every:
+                parts.pop()
+            ids = []
+            for part in parts:
+                if 2 * len([v for v in part if v < half]) != len(part):
+                    return None  # every cell so far is balanced, so the rest of c is too
+                cells[c].difference_update(part)
+                ids.append(len(cells))
+                cells.append(set(part))
+                for v in part:
+                    cell_of[v] = ids[-1]
+            if c not in waiting:
+                ids.append(c)
+                ids.remove(max(ids, key=lambda i: len(cells[i])))
+            queue.extend(ids)
+            waiting.update(ids)
+        if not queue:
+            return tuple(cell_of)
+        splitter = queue.popleft()
+        waiting.discard(splitter)
+        count = {}
+        for x in cells[splitter]:
+            for e in ends[x]:
+                count[e % n] = count.get(e % n, 0) + (1 if e < n else n)
+        touched = {}
+        for y in count:
+            touched.setdefault(cell_of[y], []).append(y)
 
 
 def _previous_twins(profiles: Iterable) -> list[int]:
@@ -187,9 +188,9 @@ def _previous_twins(profiles: Iterable) -> list[int]:
 def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
     """Search for an arc-preserving bijection g -> h.
 
-    Refines the colors of g and h together, refuting the pair at the first
-    class with more vertices of one graph, then backtracks over
-    color-compatible images on its own stack (so Python's recursion limit
+    Splits g + h into cells together, refuting the pair at the first cell
+    with more vertices of one graph, then backtracks over cell-compatible
+    images on its own stack (so Python's recursion limit
     does not bound it), checking exact adjacency (both senses) against
     mapped neighbors.  An image is tried only once its previous twin in h
     is used: swapping two unused twins fixes the partial map, so the first
@@ -203,15 +204,15 @@ def is_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoCertificate | None:
 
 
 def _joint_colors(g: OrientedGraph, h: OrientedGraph, push: bool) -> tuple[int, ...] | None:
-    """The colors of g + h, h's vertex w as w + n, refined together
-    (underlying with push, else as refine_colors); None at the first class
-    with unequal numbers of g- and h-vertices.  g and h have n vertices."""
+    """The _joint_partition of g + h, h's vertex w as w + n: of the
+    underlying graphs with push, else of the graphs as refine_colors refines
+    them.  g and h have n vertices."""
     n = g.n
-    nbrs = [*g.adjacency, *([x + n for x in a] for a in h.adjacency)]
     if push:
-        return _refine(nbrs, nbrs, list(map(len, nbrs)), n)
+        nbrs = [*g.adjacency, *([x + n for x in a] for a in h.adjacency)]
+        return _joint_partition(nbrs, list(map(len, nbrs)), n)
     ends, start = _directed_ends(2 * n, chain(g.arcs, [(u + n, v + n) for u, v in h.arcs]))
-    return _refine(nbrs, ends, start, n)
+    return _joint_partition(ends, start, n)
 
 
 def _find_isomorphism(
@@ -220,11 +221,12 @@ def _find_isomorphism(
     """The backtracking search of is_isomorphic and push_equivalent: a
     mapping of g's vertices into h and a push bit each, such that the
     mapping is an isomorphism from g, pushed at the vertices of bit 1, onto
-    h.  Without push every bit is 0.  The pair is refused at the first
-    unbalanced class of _joint_colors; otherwise an image must share its
-    vertex's joint color.  The g-half of that coloring is the partition of
-    _underlying_colors(g) (refine_colors(g)), and the search reads only color
-    equality and class sizes, so it runs as on the separate colorings.
+    h.  Without push every bit is 0.  _joint_colors splits g + h into cells
+    from a FIFO queue of splitter cells, and the pair is refused at the first
+    cell with more vertices of one graph; otherwise an image must share its
+    vertex's cell.  The g-half of that partition is the partition of
+    _underlying_colors(g) (refine_colors(g)), and the search reads only cell
+    equality and sizes, so it runs as on the separate colorings.
     """
     n = g.n
     if n != h.n or len(g.arcs) != len(h.arcs):
@@ -373,18 +375,15 @@ def _code(n: int, arcs: Iterable[tuple[int, int]]) -> bytes:
     if n > CANONICAL_SIZE_LIMIT:
         raise GraphError(f"canonical_code limit exceeded: n={n} > {CANONICAL_SIZE_LIMIT}")
     adj = [[0] * n for _ in range(n)]  # adj[u][v]: 2 for u -> v, 1 for v -> u
-    nbrs: list[list[int]] = [[] for _ in range(n)]
     ends: list[list[int]] = [[] for _ in range(n)]  # as in _directed_ends
     out, inn = [0] * n, [0] * n
     for u, v in arcs:
         adj[u][v], adj[v][u] = 2, 1
-        nbrs[u].append(v)
-        nbrs[v].append(u)
         ends[u].append(v)
         ends[v].append(u + n)
         out[u] |= 1 << v
         inn[v] |= 1 << u
-    colors = _refine(nbrs, ends, [(o.bit_count(), i.bit_count()) for o, i in zip(out, inn)])
+    colors = _refine(ends, [(o.bit_count(), i.bit_count()) for o, i in zip(out, inn)])
     if max(colors, default=-1) == n - 1:  # discrete colors: one order to try
         return _layer_string(adj, sorted(range(n), key=colors.__getitem__))
     twin = _previous_twins(zip(out, inn))

@@ -168,12 +168,12 @@ def push_equivalent(g: OrientedGraph, h: OrientedGraph) -> PushHomWitness | None
       are isomorphic, and repair_isomorphism makes any such isomorphism f
       anti-twin-respecting (f(v') = f(v)').  A respecting f is exactly a
       pair (push vector, mapping): the v with f(v) primed, and f folded.
-    - Pushing keeps the underlying graph, so its refined colors are
-      invariant under push-isomorphism.  The underlying graphs of g and h
-      are refined together, and the pair is refused at the first class
-      with more vertices of one graph than of the other (one refinement of
-      the disjoint union; a push-isomorphism maps each class onto itself);
-      otherwise an image has its vertex's color.
+    - Pushing keeps the underlying graph, so its coarsest equitable
+      partition is invariant under push-isomorphism.  One splitter queue
+      splits the underlying graph of g + h into it, and the pair is refused
+      at the first cell with more vertices of one graph than of the other (a
+      push-isomorphism maps each final cell onto itself, and every cell is a
+      union of final ones); otherwise an image shares its vertex's cell.
     - Under the pick order, a vertex with no mapped neighbour starts a new
       component, and pushing a whole component changes nothing, so its bit
       can be 0; any other bit is fixed by its first mapped neighbour's arc.

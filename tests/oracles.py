@@ -32,6 +32,21 @@ def random_oriented_graph(rng: random.Random, n: int, p: float = 0.4) -> Oriente
     return OrientedGraph(n, tuple(arcs))
 
 
+def random_regular(n: int, d: int, seed: int) -> OrientedGraph:
+    """A seeded random d-regular oriented graph on n vertices (n * d even):
+    the configuration model, resampled until it has no loop or repeated
+    edge, with each edge oriented by a fair coin."""
+    rng = random.Random(seed)
+    points = [v for v in range(n) for _ in range(d)]
+    while True:
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2])}
+        if len(edges) * 2 == n * d and all(u != v for u, v in edges):
+            return OrientedGraph(
+                n, tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v in sorted(edges))
+            )
+
+
 def underlying_edges(g: OrientedGraph) -> list[tuple[int, int]]:
     """Underlying simple edges as sorted (min, max) pairs."""
     return sorted((min(u, v), max(u, v)) for u, v in g.arcs)

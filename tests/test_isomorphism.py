@@ -17,7 +17,7 @@ from pushgraph import (
     push_equivalent,
     push_orbit,
 )
-from pushgraph.families import directed_cycle, random_outerplanar, random_sparse, uc4
+from pushgraph.families import directed_cycle, oriented_path, random_outerplanar, random_sparse, uc4
 from pushgraph.isomorphism import _joint_colors, _underlying_colors, refine_colors
 from pushgraph.verify import enumerate_oriented_graphs
 
@@ -26,6 +26,7 @@ from oracles import (
     disjoint_union,
     iso_by_permutations,
     random_oriented_graph,
+    random_regular,
     refine_colors_by_rounds,
     time_limit,
 )
@@ -276,9 +277,10 @@ def test_twin_heavy_graphs_agree_with_permutation_oracle(pair):
 @st.composite
 def refinement_inputs(draw) -> OrientedGraph:
     """A random oriented graph on up to 40 vertices, a disjoint union of up
-    to three (some edgeless), or a twin-heavy graph; the first two perhaps
-    anti-twinned."""
-    kind = draw(st.sampled_from(("random", "union", "twins")))
+    to three (some edgeless), a twin-heavy graph, or a 3-regular graph on up
+    to 40 vertices, alone (one start class) or beside a directed path; all
+    but the twin-heavy ones perhaps anti-twinned."""
+    kind = draw(st.sampled_from(("random", "union", "twins", "regular")))
     if kind == "twins":
         return draw(twin_heavy_graphs())
 
@@ -289,6 +291,10 @@ def refinement_inputs(draw) -> OrientedGraph:
 
     if kind == "random":
         g = random_graph(40)
+    elif kind == "regular":
+        g = random_regular(2 * draw(st.integers(2, 20)), 3, draw(st.integers(0, 2**32)))
+        if draw(st.booleans()):
+            g = disjoint_union([g, oriented_path("+" * draw(st.integers(1, 12)))])
     else:
         g = disjoint_union([random_graph(14) for _ in range(draw(st.integers(1, 3)))])
     return anti_twinned(g) if draw(st.booleans()) else g
@@ -330,6 +336,7 @@ def test_pair_refinement_keeps_each_partition_and_refuses_only_non_equivalent_pa
             joint = _joint_colors(g, h, mode)
             if joint is not None:
                 assert _same_partition(joint[: g.n], own)
+                assert mode or _same_partition(joint, refine_colors_by_rounds(disjoint_union([g, h])))
             found = search(g, h)
             if any(h is copy for copy in copies):
                 assert joint is not None and found is not None
@@ -339,7 +346,7 @@ def test_pair_refinement_keeps_each_partition_and_refuses_only_non_equivalent_pa
 
 def test_pair_refinement_refutes_a_path_against_a_spider_by_degrees():
     # the same order and size, but the spider has a degree-3 vertex and
-    # three leaves; refining either graph alone is quadratic on the path
+    # three leaves, so its degree classes refute the pair before any split
     n = 8000
     path = OrientedGraph(n, tuple((v, v + 1) for v in range(n - 1)))
     legs = [range(1, 3), range(3, 5), range(5, n)]
@@ -349,6 +356,22 @@ def test_pair_refinement_refutes_a_path_against_a_spider_by_degrees():
     with time_limit(2):
         assert is_isomorphic(path, spider) is None
         assert push_equivalent(path, spider) is None
+
+
+def test_pair_refinement_splits_long_paths_in_near_linear_time():
+    # a path against a 5-cycle beside a path: every class stays balanced
+    # until the partition is stable, which rounds of re-signing every class
+    # reach in quadratic time; then a relabelled copy, found by both searches
+    n = 8000
+    path = oriented_path("+" * (n - 1))
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    copy = path.relabel(perm)
+    cycle_and_path = disjoint_union([directed_cycle(5), oriented_path("+" * (n - 6))])
+    with time_limit(2):
+        assert push_equivalent(path, cycle_and_path) is None
+        assert push_equivalent(path, copy) is not None
+        assert is_isomorphic(path, copy) is not None
 
 
 def test_mid_size_pairs_agree_with_networkx():
