@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .density import mad_less_than
 from .graph import GraphError, OrientedGraph, _bits
-from .push import SplitCertificate, agree_disagree, split_graph
+from .push import agree_disagree
 
 # random_sparse redraws a candidate failing the density check at most this often
 SPARSE_RESAMPLES = 50
@@ -150,22 +150,16 @@ def zielonka_half(k: int) -> OrientedGraph:
     """Induced half of the star-vector graph on a transversal of complement pairs.
 
     The transversal keeps the vertices whose first non-starred coordinate is
-    0, one from each pair {x, complement(x)}.  The complement pairing is
-    handed to split_graph as a split certificate, which checks arc-for-arc
-    that anti-twinning the half reproduces the full graph; a failure aborts
-    construction.
+    0, one from each pair {x, complement(x)}.  That anti-twinning the half
+    reproduces the full graph is checked by zielonka/half-rebuild.
     """
     full = zielonka(k)
-    labels = list(_zielonka_labels(k))
-    index = {lab: pos for pos, lab in enumerate(labels)}
     transversal = [
-        lab for lab in labels if next(c for c in lab[1] if c is not None) == 0
+        pos
+        for pos, (_, coords) in enumerate(_zielonka_labels(k))
+        if next(c for c in coords if c is not None) == 0
     ]
-    cert = SplitCertificate(
-        tuple(index[lab] for lab in transversal),
-        tuple(index[_zielonka_complement(lab)] for lab in transversal),
-    )
-    return split_graph(full, cert)
+    return full.induced(transversal)[0]
 
 
 def zielonka_weight_split_report(k: int) -> dict:

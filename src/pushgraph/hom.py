@@ -24,7 +24,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Iterable
 
-from .graph import GraphError, OrientedGraph, identify_vertices
+from .graph import GraphError, OrientedGraph
 from .isomorphism import _augment, is_homomorphism
 from .push import PushHomWitness, _presentations, anti_twinned, fold_to_push_witness, push
 from .search import SearchBudget, _SearchStatus, _Tracker
@@ -263,10 +263,10 @@ class ChromaticResult:
 
 
 def _quotient_layout(g: OrientedGraph):
-    """The vertex order of the quotient search: component by component, each
-    in BFS order from its smallest vertex.  Returns the order, whether each
-    position starts a component, and each position's earlier neighbours as
-    (position, 1 if the arc leaves the later vertex else 0)."""
+    """The positions of the quotient search: g's vertices component by
+    component, each in BFS order from its smallest vertex.  Returns whether
+    each position starts a component, and each position's earlier neighbours
+    as (position, 1 if the arc leaves the later vertex else 0)."""
     order: list[int] = []
     starts = [False] * g.n
     seen = [False] * g.n
@@ -292,7 +292,7 @@ def _quotient_layout(g: OrientedGraph):
             earlier[i].append((j, 1))
         else:
             earlier[j].append((i, 0))
-    return order, starts, earlier
+    return starts, earlier
 
 
 # _quotient_colouring's outcome when its allowance of nodes ran out
@@ -300,10 +300,12 @@ _UNDECIDED = "undecided"
 
 
 def _quotient_colouring(layout, k: int, pushing: bool, tracker: _Tracker, allowance: int):
-    """Search a colouring with at most k classes, no arc inside a class and
-    all arcs between two classes in one direction, read after pushing the
-    vertices whose bit is 1 when pushing.  Such a colouring exists iff the
-    graph (push) maps to some tournament of order k (Raspaud & Sopena 1994).
+    """Decide whether g has a colouring with at most k classes, no arc inside
+    a class and all arcs between two classes in one direction, read after
+    pushing the vertices whose bit is 1 when pushing.  Such a colouring
+    exists iff g (push) maps to some tournament of order k (Raspaud & Sopena
+    1994).  The colouring itself is not kept: _chromatic takes its
+    certificate from the tournament walk.
 
     Vertices take colours along the layout's order by restricted growth: a
     used colour or the smallest unused one, since unused colours are
@@ -315,20 +317,20 @@ def _quotient_colouring(layout, k: int, pushing: bool, tracker: _Tracker, allowa
     direction.  Every tentative (colour, bit) spends one tracker node, and
     the choice points live in per-position arrays, not on the call stack.
 
-    Returns the colours and bits by position; None when there is no
-    colouring or the tracker ran out; or _UNDECIDED once allowance nodes are
-    spent.
+    Returns True when there is a colouring; None when there is none or the
+    tracker ran out; or _UNDECIDED once the tracker has counted allowance
+    more nodes.
     """
-    order, starts, earlier = layout
-    n = len(order)
+    starts, earlier = layout
+    n = len(starts)
     if n == 0:
-        return [], []
+        return True
     rel = [0] * (k * k)  # rel[a * k + b]: arcs from class a to class b
     col, bit = [0] * n, [0] * n
     used = [0] * (n + 1)  # colours used before each position
     tried = [0] * n  # values tried at each position
     added: list[list[int]] = [[] for _ in range(n)]  # rel entries of each value
-    spent = 0
+    stop = tracker.nodes + allowance
     i = 0
     while True:
         for x in added[i]:
@@ -343,9 +345,8 @@ def _quotient_colouring(layout, k: int, pushing: bool, tracker: _Tracker, allowa
                 return None
             i -= 1
             continue
-        if spent == allowance:
+        if tracker.nodes == stop:
             return _UNDECIDED
-        spent += 1
         if not tracker.spend():
             return None
         tried[i] = j + 1
@@ -367,7 +368,7 @@ def _quotient_colouring(layout, k: int, pushing: bool, tracker: _Tracker, allowa
             col[i], bit[i] = c, t
             i += 1
             if i == n:
-                return col, bit
+                return True
             used[i] = u + (c == u)
             tried[i] = 0
             added[i] = []
@@ -377,31 +378,18 @@ def _quotient_colouring(layout, k: int, pushing: bool, tracker: _Tracker, allowa
         incs.clear()
 
 
-def _check_quotient(g: OrientedGraph, order, colouring, k: int, pushing: bool) -> None:
-    """Identify each colour class of g, pushed by the colouring's bits, to
-    one vertex; identify_vertices refuses a loop or a 2-cycle."""
-    col, bit = colouring
-    classes: list[list[int]] = [[] for _ in range(k)]
-    for v, c in zip(order, col):
-        classes[c].append(v)
-    presented = push(g, [v for v, t in zip(order, bit) if t]) if pushing else g
-    try:
-        identify_vertices(presented, classes)
-    except GraphError as exc:
-        raise AssertionError(f"quotient search gave a bad colouring: {exc}") from None
-
-
 def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushing: bool):
     """Smallest k <= max_k with a (push) homomorphism of g into a tournament
     of order k.
 
-    Each k gets one quotient search.  Its absence proves that no tournament
-    of order k admits g, so none is tried.  A colouring is checked by
-    _check_quotient, and then the tournaments of order k are walked in
-    enumerate_tournaments order with find_hom until the first hit, which
-    gives the target and the witness.  A push walk searches each
-    tournament's anti-twinned graph, built once per order for every call,
-    and folds the hit as find_push_hom does.
+    Each k gets one quotient search.  Its "no" proves that no tournament of
+    order k admits g, so none is tried.  After a "yes" the tournaments of
+    order k are walked in enumerate_tournaments order with find_hom until
+    the first hit, whose verified mapping is the one certificate of the
+    order and gives the target and the witness; a walk with no hit after a
+    "yes" raises AssertionError, so a wrong "yes" cannot pass.  A push walk
+    searches each tournament's anti-twinned graph, built once per order for
+    every call, and folds the hit as find_push_hom does.
 
     The quotient search may spend 16 (n + 1) nodes per tournament of order
     k, so it never costs much more than the walk it replaces; past that the
@@ -419,13 +407,11 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushin
     for k in range(max_k + 1):
         targets = enumerate_tournaments(k)
         allowance = 16 * (g.n + 1) * len(targets)
-        colouring = _quotient_colouring(layout, k, pushing, tracker, allowance)
+        colourable = _quotient_colouring(layout, k, pushing, tracker, allowance)
         if tracker.exhausted:
             return ChromaticResult(None, None, None, k, False, tracker.nodes, tracker.seconds)
-        if colouring is None:
+        if colourable is None:
             continue
-        if colouring is not _UNDECIDED:
-            _check_quotient(g, layout[0], colouring, k, pushing)
         hosts = _anti_twinned_tournaments(k) if pushing else targets
         for target, host in zip(targets, hosts):
             mapping = find_hom(g, host, _tracker=tracker).mapping
@@ -434,7 +420,7 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushin
                 return ChromaticResult(k, target, hit, k, True, tracker.nodes, tracker.seconds)
             if tracker.exhausted:
                 return ChromaticResult(None, None, None, k, False, tracker.nodes, tracker.seconds)
-        if colouring is not _UNDECIDED:
+        if colourable is True:
             raise AssertionError(f"no tournament of order {k} admits a quotient-coloured graph")
     return ChromaticResult(
         None, None, None, max_k + 1, True, tracker.nodes, tracker.seconds

@@ -56,22 +56,16 @@ def refine_colors(g: OrientedGraph) -> tuple[int, ...]:
     sorted out-neighbour colors, sorted in-neighbour colors) from all-zero
     colors, so round one ranks the vertices by (out, in)-degree.
 
-    On anti_twinned(g) the colors are c + c for c = _underlying_colors(g):
-    v -> v' is an automorphism there, so v and v' share a color in every
-    round, and v's out-neighbours N+(v), N-(v)' and in-neighbours N-(v),
-    N+(v)' both carry the colors of N(v).  The anti-twinned colors thus say
-    nothing that c does not, and push_equivalent searches the base graphs
-    with c alone.
+    On anti_twinned(g) the colors are c + c, where c comes from the same
+    rounds on g's underlying graph, signing a vertex by (color, sorted
+    neighbour colors): v -> v' is an automorphism there, so v and v' share a
+    color in every round, and v's out-neighbours N+(v), N-(v)' and
+    in-neighbours N-(v), N+(v)' both carry the colors of N(v).  The
+    anti-twinned colors thus say nothing that c does not, and push_equivalent
+    searches the base graphs with c alone.
     """
     ends, start = _directed_ends(g.n, g.arcs)
     return _refine(ends, start)
-
-
-def _underlying_colors(g: OrientedGraph) -> tuple[int, ...]:
-    """Refinement of g's underlying graph from its degree classes, signing a
-    vertex by the sorted colors of its neighbours; refine_colors says why
-    refine_colors(anti_twinned(g)) is these colors twice over."""
-    return _refine(g.adjacency, list(map(len, g.adjacency)))
 
 
 def _directed_ends(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], list]:
@@ -224,9 +218,10 @@ def _find_isomorphism(
     h.  Without push every bit is 0.  _joint_colors splits g + h into cells
     from a FIFO queue of splitter cells, and the pair is refused at the first
     cell with more vertices of one graph; otherwise an image must share its
-    vertex's cell.  The g-half of that partition is the partition of
-    _underlying_colors(g) (refine_colors(g)), and the search reads only cell
-    equality and sizes, so it runs as on the separate colorings.
+    vertex's cell.  The g-half of that partition is the partition of g's
+    underlying rounds with push (see refine_colors) and of refine_colors(g)
+    without, and the search reads only cell equality and sizes, so it runs
+    as on the separate colorings.
     """
     n = g.n
     if n != h.n or len(g.arcs) != len(h.arcs):

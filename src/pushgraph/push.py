@@ -51,8 +51,8 @@ class AgreeDisagreeStats:
 
 @dataclass(frozen=True)
 class SplitCertificate:
-    """Partition (part_one, part_two) with partner[i] in part_two swapping the
-    in/out neighborhoods of part_one[i]."""
+    """Partition (part_one, part_two) with part_two[i] swapping the in/out
+    neighborhoods of part_one[i]."""
 
     part_one: tuple[int, ...]
     part_two: tuple[int, ...]

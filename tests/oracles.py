@@ -120,6 +120,21 @@ def refine_colors_by_rounds(g: OrientedGraph) -> tuple[int, ...]:
         colors = new_colors
 
 
+def underlying_colors_by_rounds(g: OrientedGraph) -> tuple[int, ...]:
+    """Colour refinement of the underlying graph, re-signing every vertex in
+    every round: each round ranks the signatures (colour, sorted neighbour
+    colours) until the colours stop changing."""
+    nbrs = [[w for arc in g.arcs if x in arc for w in arc if w != x] for x in range(g.n)]
+    colors = [0] * g.n
+    while True:
+        signature = [(colors[v], tuple(sorted(colors[w] for w in nbrs[v]))) for v in range(g.n)]
+        palette = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        new_colors = [palette[sig] for sig in signature]
+        if new_colors == colors:
+            return tuple(colors)
+        colors = new_colors
+
+
 def canonical_code_by_layers(g: OrientedGraph) -> bytes:
     """The minimum layered adjacency string over every colour-sorted vertex
     order, by branch and bound with exact prefix pruning: each candidate's

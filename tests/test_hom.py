@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -34,6 +35,22 @@ from oracles import (
     time_limit,
 )
 
+hom = importlib.import_module("pushgraph.hom")
+
+
+@st.composite
+def small_graphs(draw, max_n: int = 7, min_n: int = 0) -> OrientedGraph:
+    """An oriented graph on min_n to max_n vertices: each pair gets no arc or
+    an arc either way, with a drawn chance of an arc."""
+    n = draw(st.integers(min_n, max_n))
+    density = draw(st.sampled_from((0.2, 0.5, 0.8, 1.0)))
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.floats(0, 1)) < density:
+                arcs.append((u, v) if draw(st.booleans()) else (v, u))
+    return OrientedGraph(n, tuple(arcs))
+
 
 def test_nine_cycle_maps_to_triangle():
     res = find_hom(directed_cycle(9), c3())
@@ -66,16 +83,12 @@ def test_solver_matches_enumeration_oracle():
         assert (res.mapping is not None) == (hom_by_enumeration(g, h) is not None)
 
 
-def test_push_solver_matches_double_enumeration():
-    rng = random.Random(2)
-    for _ in range(40):
-        g = random_oriented_graph(rng, rng.randint(0, 5), p=rng.uniform(0.2, 0.9))
-        h = random_oriented_graph(rng, rng.randint(0, 3), p=rng.uniform(0.2, 0.9))
-        res = find_push_hom(g, h)
-        assert res.complete
-        assert (res.witness is not None) == (
-            push_hom_by_double_enumeration(g, h) is not None
-        )
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(small_graphs(5), small_graphs(3))
+def test_push_solver_matches_double_enumeration(g, h):
+    res = find_push_hom(g, h)
+    assert res.complete
+    assert (res.witness is not None) == (push_hom_by_double_enumeration(g, h) is not None)
 
 
 def test_push_hom_witness_is_reverified_composition():
@@ -145,22 +158,28 @@ def test_transfer_trivial_vectors():
     assert push(h, range(3)) == h  # pushing every vertex changes nothing
 
 
-def test_transfer_random_instances():
-    rng = random.Random(4)
-    for _ in range(40):
-        h = random_oriented_graph(rng, rng.randint(1, 4))
-        g_n = rng.randint(1, 9)
-        image = tuple(rng.randrange(h.n) for _ in range(g_n))
-        arcs = tuple(
-            (u, v)
-            for u in range(g_n)
-            for v in range(g_n)
-            if u != v and h.has_arc(image[u], image[v]) and rng.random() < 0.6
-        )
-        g = OrientedGraph(g_n, arcs)
-        target_push = [w for w in range(h.n) if rng.random() < 0.5]
-        vector = transfer(g, h, image, target_push)
-        assert is_homomorphism(push(g, vector), push(h, target_push), image)
+@st.composite
+def transfer_instances(draw):
+    """A target h on 1 to 4 vertices, an image in h for each of 1 to 9
+    source vertices, a source g of drawn arcs that the image sends onto arcs
+    of h, and a set of target vertices to push."""
+    h = draw(small_graphs(4, min_n=1))
+    image = tuple(draw(st.lists(st.integers(0, h.n - 1), min_size=1, max_size=9)))
+    arcs = tuple(
+        (u, v)
+        for u in range(len(image))
+        for v in range(len(image))
+        if h.has_arc(image[u], image[v]) and draw(st.booleans())
+    )
+    return OrientedGraph(len(image), arcs), h, image, draw(st.sets(st.integers(0, h.n - 1)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(transfer_instances())
+def test_transfer_random_instances(case):
+    g, h, image, target_push = case
+    vector = transfer(g, h, image, target_push)
+    assert is_homomorphism(push(g, vector), push(h, target_push), image)
 
 
 def test_transfer_rejects_non_homomorphism():
@@ -245,20 +264,6 @@ def test_push_chromatic_monotone_under_subgraphs():
         )
 
 
-@st.composite
-def small_graphs(draw) -> OrientedGraph:
-    """An oriented graph on at most 7 vertices: each pair gets no arc or an
-    arc either way, with a drawn chance of an arc."""
-    n = draw(st.integers(0, 7))
-    density = draw(st.sampled_from((0.2, 0.5, 0.8, 1.0)))
-    arcs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.floats(0, 1)) < density:
-                arcs.append((u, v) if draw(st.booleans()) else (v, u))
-    return OrientedGraph(n, tuple(arcs))
-
-
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(small_graphs(), st.booleans(), st.integers(1, 300))
 def test_chromatic_agrees_with_the_per_tournament_oracle(g, pushing, nodes):
@@ -276,6 +281,27 @@ def test_chromatic_agrees_with_the_per_tournament_oracle(g, pushing, nodes):
         assert (truncated.value, truncated.target) == (res.value, res.target)
     else:
         assert truncated.value is None and truncated.lower_bound <= expected.value
+
+
+def test_a_quotient_yes_without_a_walk_hit_raises(monkeypatch):
+    # the walk's verified hit is the one certificate of a positive order, so
+    # a wrong "yes" from the quotient search cannot pass
+    monkeypatch.setattr(hom, "_quotient_colouring", lambda *args: True)
+    with pytest.raises(AssertionError, match="order 0"):
+        oriented_chromatic_number(c3())
+
+
+def test_the_walk_decides_each_order_the_quotient_search_leaves(monkeypatch):
+    # what large graphs reach once the quotient search spends its allowance:
+    # the walk alone then gives the oracle's outcome, run for run
+    def outcome(res):
+        return res.value, res.target, _hit(res.witness), res.lower_bound, res.nodes
+
+    monkeypatch.setattr(hom, "_quotient_colouring", lambda *args: hom._UNDECIDED)
+    for g in [g for n in range(5) for g in enumerate_oriented_graphs(n)]:
+        for pushing in (False, True):
+            chromatic = push_chromatic_number if pushing else oriented_chromatic_number
+            assert outcome(chromatic(g)) == outcome(chromatic_by_tournaments(g, 7, pushing))
 
 
 def test_lemma_reduction_on_samples():

@@ -18,7 +18,7 @@ from pushgraph import (
     push_orbit,
 )
 from pushgraph.families import directed_cycle, oriented_path, random_outerplanar, random_sparse, uc4
-from pushgraph.isomorphism import _joint_colors, _underlying_colors, refine_colors
+from pushgraph.isomorphism import _joint_colors, refine_colors
 from pushgraph.verify import enumerate_oriented_graphs
 
 from oracles import (
@@ -29,6 +29,7 @@ from oracles import (
     random_regular,
     refine_colors_by_rounds,
     time_limit,
+    underlying_colors_by_rounds,
 )
 
 
@@ -329,7 +330,7 @@ def test_pair_refinement_keeps_each_partition_and_refuses_only_non_equivalent_pa
     for mode, own, search, copies, equivalent in (
         (False, refine_colors_by_rounds(g), is_isomorphic, (relabelled,),
          lambda h: iso_by_permutations(g, h) is not None),
-        (True, _underlying_colors(g), push_equivalent, (relabelled, pushed),
+        (True, underlying_colors_by_rounds(g), push_equivalent, (relabelled, pushed),
          lambda h: canonical_code(h) in push_orbit(g)),
     ):
         for h in (relabelled, pushed, changed):
@@ -401,7 +402,7 @@ def test_mid_size_pairs_agree_with_networkx():
 
 
 def _assert_anti_twinned_colors_are_doubled(g):
-    doubled = _underlying_colors(g) * 2
+    doubled = underlying_colors_by_rounds(g) * 2
     assert refine_colors(anti_twinned(g)) == doubled
     assert refine_colors_by_rounds(anti_twinned(g)) == doubled
 

@@ -238,8 +238,22 @@ def test_each_gadget_property_is_checked_once_by_its_verify_check():
     for name in ("b0", "paley_plus", "y_gadget", "girth8_witness"):
         raises = [n for n in ast.walk(_function("families", name)) if isinstance(n, ast.Raise)]
         assert not raises, f"families.{name} checks its own properties"
+    # zielonka/half-rebuild checks the half, so it is not split_graph's output
+    assert "split_graph" not in _called_names(_function("families", "zielonka_half"))
     # cannot_identify is the same test on a non-adjacent pair
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())
         defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
         assert "in_common_uc4" not in defined, path.name
+
+
+def test_each_answer_is_checked_where_it_is_returned():
+    # a chromatic order is certified by the walk's verified hit, not by a
+    # quotient of the colouring the search found
+    tree = ast.parse((PACKAGE / "hom.py").read_text())
+    for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        assert "identify_vertices" not in _called_names(func), f"hom.{func.name}"
+    # the underlying refinement is a test oracle, not a package function
+    tree = ast.parse((PACKAGE / "isomorphism.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_underlying_colors" not in defined
