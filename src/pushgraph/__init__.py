@@ -43,7 +43,6 @@ from .graph import (
     GraphError,
     OrientedGraph,
     emit_graph,
-    identify_vertices,
     parse_graph,
     underlying_girth,
 )

@@ -169,33 +169,6 @@ def underlying_girth(g: OrientedGraph) -> int | float:
     return best
 
 
-def identify_vertices(g: OrientedGraph, classes: Sequence[Iterable[int]]) -> OrientedGraph:
-    """Quotient of g by a partition of its vertices; class i becomes vertex i.
-
-    Rejects identifications that would create a loop or a 2-cycle, naming the
-    offending vertex pair.
-    """
-    rep = [-1] * g.n
-    for i, cls in enumerate(classes):
-        for v in cls:
-            g._check_vertex(v)
-            if rep[v] != -1:
-                raise GraphError(f"vertex {v} appears in more than one class")
-            rep[v] = i
-    if any(r == -1 for r in rep):
-        missing = rep.index(-1)
-        raise GraphError(f"vertex {missing} is not covered by the partition")
-    arcs: set[Arc] = set()
-    for u, v in g.arcs:
-        a, b = rep[u], rep[v]
-        if a == b:
-            raise GraphError(f"identifying {u} and {v} creates a loop")
-        if (b, a) in arcs:
-            raise GraphError(f"identifying classes of {u} and {v} creates a 2-cycle")
-        arcs.add((a, b))
-    return OrientedGraph(len(classes), tuple(arcs))
-
-
 def parse_graph(text: str) -> OrientedGraph:
     """Parse the line-oriented text format: `oriented <n>` then `a <u> <v>` lines."""
     n: int | None = None

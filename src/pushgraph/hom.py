@@ -178,9 +178,10 @@ def find_push_hom(
     budget: SearchBudget | None = None,
     _tracker: _Tracker | None = None,
 ) -> PushHomResult:
-    """Search for a push homomorphism of g into h via the anti-twin reduction."""
+    """Search for a push homomorphism of g into h via the anti-twin reduction;
+    fold_to_push_witness is the one check of the solver's mapping."""
     tracker = _tracker or _Tracker(budget)
-    mapping = find_hom(g, anti_twinned(h), _tracker=tracker).mapping
+    mapping = _solve(g, anti_twinned(h), tracker)
     witness = None if mapping is None else fold_to_push_witness(g, h, mapping)
     return PushHomResult(witness, not tracker.exhausted, tracker.nodes, tracker.seconds)
 
@@ -384,12 +385,13 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushin
 
     Each k gets one quotient search.  Its "no" proves that no tournament of
     order k admits g, so none is tried.  After a "yes" the tournaments of
-    order k are walked in enumerate_tournaments order with find_hom until
-    the first hit, whose verified mapping is the one certificate of the
-    order and gives the target and the witness; a walk with no hit after a
-    "yes" raises AssertionError, so a wrong "yes" cannot pass.  A push walk
-    searches each tournament's anti-twinned graph, built once per order for
-    every call, and folds the hit as find_push_hom does.
+    order k are walked in enumerate_tournaments order, with find_hom for
+    the oriented number, until the first hit, whose checked mapping is the
+    one certificate of the order and gives the target and the witness; a
+    walk with no hit after a "yes" raises AssertionError, so a wrong "yes"
+    cannot pass.  A push walk runs the solver on each tournament's
+    anti-twinned graph, built once per order for every call, and folds and
+    checks the hit as find_push_hom does.
 
     The quotient search may spend 16 (n + 1) nodes per tournament of order
     k, so it never costs much more than the walk it replaces; past that the
@@ -414,7 +416,10 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushin
             continue
         hosts = _anti_twinned_tournaments(k) if pushing else targets
         for target, host in zip(targets, hosts):
-            mapping = find_hom(g, host, _tracker=tracker).mapping
+            if pushing:
+                mapping = _solve(g, host, tracker)
+            else:
+                mapping = find_hom(g, host, _tracker=tracker).mapping
             if mapping is not None:
                 hit = fold_to_push_witness(g, target, mapping) if pushing else mapping
                 return ChromaticResult(k, target, hit, k, True, tracker.nodes, tracker.seconds)

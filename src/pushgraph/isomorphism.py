@@ -364,24 +364,19 @@ def canonical_code(g: OrientedGraph) -> bytes:
     return _code(g.n, g.arcs)
 
 
-def _code(n: int, arcs: Iterable[tuple[int, int]]) -> bytes:
+def _code(n: int, arcs: Sequence[tuple[int, int]]) -> bytes:
     """canonical_code of the graph on n vertices with these arcs, which must
-    form an oriented graph; n over CANONICAL_SIZE_LIMIT is refused."""
+    form an oriented graph; n over CANONICAL_SIZE_LIMIT is refused.  Twins
+    have equal rows of adj, which hold both of their neighbourhoods."""
     if n > CANONICAL_SIZE_LIMIT:
         raise GraphError(f"canonical_code limit exceeded: n={n} > {CANONICAL_SIZE_LIMIT}")
     adj = [[0] * n for _ in range(n)]  # adj[u][v]: 2 for u -> v, 1 for v -> u
-    ends: list[list[int]] = [[] for _ in range(n)]  # as in _directed_ends
-    out, inn = [0] * n, [0] * n
     for u, v in arcs:
         adj[u][v], adj[v][u] = 2, 1
-        ends[u].append(v)
-        ends[v].append(u + n)
-        out[u] |= 1 << v
-        inn[v] |= 1 << u
-    colors = _refine(ends, [(o.bit_count(), i.bit_count()) for o, i in zip(out, inn)])
+    colors = _refine(*_directed_ends(n, arcs))
     if max(colors, default=-1) == n - 1:  # discrete colors: one order to try
         return _layer_string(adj, sorted(range(n), key=colors.__getitem__))
-    twin = _previous_twins(zip(out, inn))
+    twin = _previous_twins(map(tuple, adj))
     cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         cells[c].append(v)
@@ -446,7 +441,7 @@ def _code(n: int, arcs: Iterable[tuple[int, int]]) -> bytes:
         return lowered
 
     dfs(0, [1] * n, False)
-    return _layer_string(adj, best_order)
+    return (f"{n}|" + ",".join(map(str, best))).encode()
 
 
 def _layer_string(adj: list[list[int]], order: list[int]) -> bytes:

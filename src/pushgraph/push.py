@@ -115,7 +115,8 @@ def fold_to_push_witness(
     """Turn a homomorphism g -> anti_twinned(h) into a verified push witness.
 
     Push the preimages of the primed half, then fold every primed image onto
-    its base vertex.
+    its base vertex.  The folded witness passes its check exactly when
+    mapping is a homomorphism into anti_twinned(h), so no caller checks both.
     """
     vector = frozenset(v for v in range(g.n) if mapping[v] >= h.n)
     folded = tuple(w - h.n if w >= h.n else w for w in mapping)

@@ -347,22 +347,20 @@ def suite_outerplanar5(
 
     with suite.check("outerplanar5/instances") as verdict:
         rng = random.Random(seed)
-        colored = 0
         try:
             for i in range(count):
                 n = rng.randint(5, max_n)
                 g = families.random_outerplanar(n, 5, seed=seed * 7919 + i)
                 coloring.color_outerplanar_g5(g, budget)
-                colored += 1
             detail = (
-                f"{colored} random outerplanar girth-5 instances (n <= {max_n}) received "
+                f"{count} random outerplanar girth-5 instances (n <= {max_n}) received "
                 "verified triangle colorings"
             )
         except coloring.CounterexampleFound as exc:
             verdict.refute({"graph": exc.graph_text, "detail": exc.detail})
             detail = (
                 f"random outerplanar girth-5 instance {i} (n = {n}) received no triangle "
-                f"coloring; {colored} of {count} were colored before it"
+                f"coloring; {i} of {count} were colored before it"
             )
         verdict(True, detail)
 
@@ -647,7 +645,6 @@ def suite_girth8_upper(
             )
 
     with suite.check("girth8/sparse-instances") as verdict:
-        colored = 0
         # sizes spread from min(20, max_n) to max_n; the last one is max_n
         smallest = min(20, max_n)
         try:
@@ -655,16 +652,15 @@ def suite_girth8_upper(
                 n = smallest + (max_n - smallest) * i // (count - 1) if count > 1 else max_n
                 g = families.random_sparse(n, seed=seed * 104729 + i)
                 coloring.push_color_to_paley(g)
-                colored += 1
             detail = (
-                f"{colored}/{count} random sparse instances (mad < 8/3 verified, n up to "
+                f"{count}/{count} random sparse instances (mad < 8/3 verified, n up to "
                 f"{max_n}) received end-to-end verified colorings"
             )
         except coloring.CounterexampleFound as exc:
             verdict.refute({"graph": exc.graph_text, "detail": exc.detail})
             detail = (
                 f"random sparse instance {i} (n = {n}) received no verified coloring; "
-                f"{colored} of {count} were colored before it"
+                f"{i} of {count} were colored before it"
             )
         verdict(True, detail)
 

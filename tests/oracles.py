@@ -241,6 +241,49 @@ def push_by_hand(g: OrientedGraph, pushed) -> OrientedGraph:
     return OrientedGraph(g.n, tuple(arcs))
 
 
+def maps_arcs(g: OrientedGraph, h: OrientedGraph, mapping) -> bool:
+    """True iff mapping names a vertex of h for each vertex of g and sends
+    every arc of g onto an arc of h, looked up arc by arc."""
+    if len(mapping) != g.n or not all(0 <= w < h.n for w in mapping):
+        return False
+    return all((mapping[u], mapping[v]) in h.arcs for u, v in g.arcs)
+
+
+def iso_by_arcs(g: OrientedGraph, h: OrientedGraph, mapping) -> bool:
+    """True iff mapping is a bijection of g's vertices onto h's that sends
+    the arcs of g onto exactly the arcs of h."""
+    return (
+        g.n == h.n
+        and sorted(mapping) == list(range(h.n))
+        and sorted((mapping[u], mapping[v]) for u, v in g.arcs) == sorted(h.arcs)
+    )
+
+
+def anti_twinned_by_hand(g: OrientedGraph) -> OrientedGraph:
+    """The anti-twinned graph pair by pair: vertex v + n is v', and x -> y
+    iff, for their base vertices a and b, a -> b in g when x and y lie on the
+    same side, and b -> a when they do not."""
+    n, arcs = g.n, set(g.arcs)
+    return OrientedGraph(2 * n, tuple(
+        (x, y)
+        for x in range(2 * n)
+        for y in range(2 * n)
+        if ((x % n, y % n) if (x < n) == (y < n) else (y % n, x % n)) in arcs
+    ))
+
+
+def splits_by_hand(g: OrientedGraph, one, two) -> bool:
+    """True iff one and two split g's vertices into equal halves and g is the
+    anti-twinned graph of its subgraph on one, with two[i] as one[i]'."""
+    k = len(one)
+    if len(two) != k or sorted([*one, *two]) != list(range(g.n)):
+        return False
+    half = OrientedGraph(k, tuple(
+        (one.index(u), one.index(v)) for u, v in g.arcs if u in one and v in one
+    ))
+    return iso_by_arcs(anti_twinned_by_hand(half), g, [*one, *two])
+
+
 def push_hom_by_double_enumeration(g: OrientedGraph, h: OrientedGraph):
     """All push vectors times all mappings; returns a witness or None."""
     for bits in range(1 << g.n):

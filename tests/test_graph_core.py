@@ -12,7 +12,6 @@ from pushgraph import (
     GraphError,
     OrientedGraph,
     emit_graph,
-    identify_vertices,
     max_average_degree,
     parse_graph,
     underlying_girth,
@@ -21,7 +20,6 @@ from pushgraph.coloring import color_outerplanar_g5, discharge_audit, push_color
 from pushgraph.density import _peel, mad_less_than
 from pushgraph.push import parse_push_vector
 from pushgraph.families import (
-    b0,
     directed_cycle,
     girth8_witness,
     oriented_path,
@@ -316,35 +314,6 @@ def test_disjoint_union_counts():
     assert two.n == 6 and len(two.arcs) == 6
     assert disjoint_union([directed_cycle(4)]) == directed_cycle(4)
     assert disjoint_union([]) == OrientedGraph(0)
-
-
-def test_identify_identity_partition():
-    g = directed_cycle(4)
-    same = identify_vertices(g, [[0], [1], [2], [3]])
-    assert same == g
-
-
-def test_identify_adjacent_pair_is_loop():
-    with pytest.raises(GraphError, match="loop"):
-        identify_vertices(directed_cycle(3), [[0, 1], [2]])
-
-
-def test_identify_two_cycle_rejected():
-    # 0->1 and 2->3 become opposite arcs after merging {0,3} and {1,2}
-    g = OrientedGraph(4, ((0, 1), (2, 3)))
-    with pytest.raises(GraphError, match="2-cycle"):
-        identify_vertices(g, [[0, 3], [1, 2]])
-
-
-def test_identify_gluing_counts():
-    # gluing the rigid 8-vertex gadget onto a triangle vertex by one vertex
-    gadget = b0()
-    host = directed_cycle(3)
-    glued = disjoint_union([host, gadget])
-    merged = identify_vertices(
-        glued, [[0, 3 + 7]] + [[v] for v in range(1, glued.n) if v != 3 + 7]
-    )
-    assert merged.n == host.n + gadget.n - 1
 
 
 def test_parse_emit_round_trip():

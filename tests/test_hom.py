@@ -291,6 +291,21 @@ def test_a_quotient_yes_without_a_walk_hit_raises(monkeypatch):
         oriented_chromatic_number(c3())
 
 
+def test_a_push_answer_is_checked_once_by_the_fold(monkeypatch):
+    # a solver that sends every vertex to vertex 0: each push search fails
+    # at fold_to_push_witness, its one check, and the oriented walk at find_hom
+    monkeypatch.setattr(hom, "_solve", lambda g, h, tracker: (0,) * g.n)
+    for search in (
+        lambda: find_push_hom(directed_cycle(5), c3()),
+        lambda: push_chromatic_number(c3()),
+        lambda: color_outerplanar_g5(directed_cycle(5)),
+    ):
+        with pytest.raises(AssertionError, match="push witness failed re-verification"):
+            search()
+    with pytest.raises(AssertionError, match="solver produced a non-homomorphism"):
+        oriented_chromatic_number(c3())
+
+
 def test_the_walk_decides_each_order_the_quotient_search_leaves(monkeypatch):
     # what large graphs reach once the quotient search spends its allowance:
     # the walk alone then gives the oracle's outcome, run for run

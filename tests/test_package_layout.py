@@ -253,7 +253,13 @@ def test_each_answer_is_checked_where_it_is_returned():
     tree = ast.parse((PACKAGE / "hom.py").read_text())
     for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
         assert "identify_vertices" not in _called_names(func), f"hom.{func.name}"
+    # a push search is checked once, by the fold, not by find_hom as well
+    assert "find_hom" not in _called_names(_function("hom", "find_push_hom"))
     # the underlying refinement is a test oracle, not a package function
     tree = ast.parse((PACKAGE / "isomorphism.py").read_text())
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert "_underlying_colors" not in defined
+    # no verdict quotients a graph by a vertex partition
+    tree = ast.parse((PACKAGE / "graph.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "identify_vertices" not in defined
