@@ -5,11 +5,17 @@ push-homomorphism solver run against the anti-twinned triangle.  Graphs whose
 maximum average degree is below 8/3 are colored into the apex-triangle target
 by reduce/extend.  The reducible configurations are (i) a vertex of degree at
 most one, (ii) two adjacent degree-2 vertices, (iii) a degree-3 vertex with
-two degree-2 neighbors.  _SHAPES states each configuration's deleted arcs
-once; it orders the senses of a located configuration and drives the one
-builder of all three exhaustive extension tables, whose completeness is
-asserted when they are built.  The exact path dynamic program into the
-directed triangle serves the verify suites and the tables' path check.
+two degree-2 neighbors.  A vertex's degree fixes the one kind it can centre,
+so the reducer keeps each vertex's degree and count of degree-2 neighbours
+and tests a vertex in O(1); a deletion re-offers only the vertices whose
+degree fell, and the neighbours of those left with degree 2.  _SHAPES states
+each configuration's deleted arcs once; it orders the senses of a located
+configuration and drives the one builder of all three exhaustive extension
+tables, whose completeness is asserted when they are built.  The extension
+looks each kind's shape and table up once per colouring, and the witness is
+checked once, arc by arc on the source, with no pushed graph built.  The
+exact path dynamic program into the directed triangle serves the verify
+suites and the tables' path check.
 """
 
 from __future__ import annotations
@@ -22,15 +28,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
-from itertools import product
+from heapq import heapify, heappop, heappush
+from itertools import compress, product
 
 from .density import mad_less_than
 from .families import c3, paley_plus, parse_pattern, oriented_path
 from .graph import GraphError, OrientedGraph, emit_graph
 from .hom import find_push_hom
-from .isomorphism import is_homomorphism
-from .push import PushHomWitness, push
+from .push import PushHomWitness, _maps_pushed_arcs
 from .search import InconclusiveSearch, SearchBudget
 
 # pinned digest of the deterministic table construction; a mismatch means the
@@ -85,8 +90,7 @@ def path_extend_to_c3(
         cur = states[pos][cur]
     interior = frozenset(i for i in range(1, m) if pushed_flags[i])
     mapping = tuple(colors)
-    path = oriented_path(bits)
-    if not is_homomorphism(push(path, interior), c3(), mapping):
+    if not _maps_pushed_arcs(oriented_path(bits), c3(), interior, mapping):
         raise AssertionError("path extension witness failed re-verification")
     return interior, mapping
 
@@ -138,30 +142,46 @@ def _reductions(g: OrientedGraph):
     smallest vertex id, deleting each one's squares before the next; stop
     when no vertex or no configuration is left.
 
-    A min-heap of (kind, vertex) holds every vertex that may centre a
-    configuration of kind k: degree k + 1 and at least k neighbours of
-    degree 2.  The top is re-tested before it is trusted.  A deletion can
-    change the test only for the neighbours of the deleted vertices, and for
-    their neighbours where one is left with degree 2; only those are offered
-    again.
+    A vertex's degree d fixes the one kind it can centre: kind max(d - 1, 0)
+    for d <= 3, when at least d - 1 of its neighbours have degree 2.  Each
+    vertex's degree and count of degree-2 neighbours are kept as squares are
+    deleted (a vertex entering or leaving degree 2 adjusts its neighbours'
+    counts), so the test takes O(1).  A min-heap holds every vertex that
+    centres its kind, as kind * n + vertex so that it pops in (kind, vertex)
+    order, and the top is re-tested before it is trusted.  A deletion makes
+    a vertex a centre, or changes its kind, only by lowering its degree or
+    raising its count, so only the surviving neighbours of the squares are
+    offered again, with the neighbours of each one left with degree 2.
     """
+    n = g.n
     arcs = set(g.arcs)
-    adj = {v: set(nbrs) for v, nbrs in enumerate(g.adjacency)}
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in g.arcs:
+        adj[u].add(v)
+        adj[v].add(u)
+    two = [0] * n
+    for nbrs in adj:
+        if len(nbrs) == 2:
+            for w in nbrs:
+                two[w] += 1
+    alive = [True] * n
+    left = n
 
-    def centres(k: int, v: int) -> bool:
-        degree = len(adj[v])
-        if k == 0:
-            return degree <= 1
-        return degree == k + 1 and sum(len(adj[w]) == 2 for w in adj[v]) >= k
+    def kind(v: int) -> int:
+        """The kind v centres, or -1."""
+        d = len(adj[v])
+        if d <= 1:
+            return 0
+        return d - 1 if d <= 3 and two[v] >= d - 1 else -1
 
     kinds = list(ConfigKind)
-    heap = [(k, v) for k in range(3) for v in sorted(adj) if centres(k, v)]
-    while adj:
-        while heap and not (heap[0][1] in adj and centres(*heap[0])):
-            heappop(heap)
-        if not heap:
-            return
-        k, v = heap[0]
+    shapes = [_SHAPES[kind] for kind in kinds]
+    heap = [k * n + v for v in range(n) if (k := kind(v)) >= 0]
+    heapify(heap)
+    while heap and left:
+        k, v = divmod(heappop(heap), n)
+        if not alive[v] or kind(v) != k:
+            continue
         if k == 0:
             squares, anchors = (v,), tuple(adj[v])
         elif k == 1:
@@ -174,19 +194,27 @@ def _reductions(g: OrientedGraph):
         points = anchors + squares
         # a lone vertex of kind (i) has no anchor, so no arc of its shape
         senses = tuple(
-            int((points[a], points[b]) in arcs) for a, b in _SHAPES[kinds[k]] if b < len(points)
+            int((points[a], points[b]) in arcs) for a, b in shapes[k] if b < len(points)
         )
         yield ConfigDescriptor(kinds[k], squares, anchors, senses)
-        touched = set()
-        for v in squares:
-            for w in adj.pop(v):
-                adj[w].discard(v)
-                touched.add(w)
-        for w in touched & adj.keys():
-            for x in (w, *adj[w]) if len(adj[w]) == 2 else (w,):
-                for k in range(3):
-                    if centres(k, x):
-                        heappush(heap, (k, x))
+        for s in squares:
+            alive[s] = False
+            left -= 1
+            gone = len(adj[s]) == 2
+            for w in adj[s]:
+                rest = adj[w]
+                rest.discard(s)
+                two[w] -= gone
+                if 1 <= len(rest) <= 2:  # w left degree 2, or entered it
+                    step = 1 if len(rest) == 2 else -1
+                    for x in rest:
+                        two[x] += step
+        for s in squares:
+            for w in adj[s]:
+                if alive[w]:
+                    for x in (w, *adj[w]) if len(adj[w]) == 2 else (w,):
+                        if (k := kind(x)) >= 0:
+                            heappush(heap, k * n + x)
 
 
 def find_reducible_config(g: OrientedGraph) -> ConfigDescriptor | None:
@@ -313,7 +341,12 @@ def build_extension_tables() -> ExtensionTables:
 
 @dataclass(frozen=True)
 class ColoringCertificate:
-    """Verified push homomorphism plus the reduction trace that produced it."""
+    """Verified push homomorphism plus the reduction trace that produced it.
+
+    Construction checks the witness on the source's arcs, each reversed
+    where exactly one end is in the push vector, with no pushed graph built;
+    a push vertex outside the source raises GraphError, as a failed check
+    does."""
 
     source: OrientedGraph
     target: OrientedGraph
@@ -321,8 +354,8 @@ class ColoringCertificate:
     trace: tuple[ConfigDescriptor, ...] = ()
 
     def __post_init__(self):
-        pushed = push(self.source, self.witness.push_vector)
-        if not is_homomorphism(pushed, self.target, self.witness.mapping):
+        witness = self.witness
+        if not _maps_pushed_arcs(self.source, self.target, witness.push_vector, witness.mapping):
             raise GraphError("coloring certificate failed verification")
 
 
@@ -331,8 +364,8 @@ def push_color_to_paley(g: OrientedGraph) -> ColoringCertificate:
     assumed) into the apex-triangle target.
 
     Repeatedly deletes a reducible configuration, then unwinds the trace,
-    extending through the configuration tables.  The certificate re-verifies
-    the composed witness arc by arc.
+    extending through the configuration tables.  The certificate verifies
+    the composed witness arc by arc, once.
     """
     target = paley_plus()
     if g.n == 0:
@@ -340,36 +373,38 @@ def push_color_to_paley(g: OrientedGraph) -> ColoringCertificate:
     if not mad_less_than(g, Fraction(8, 3)):
         raise GraphError("push_color_to_paley requires maximum average degree below 8/3")
     tables = build_extension_tables()
-    trace = list(_reductions(g))
+    trace = tuple(_reductions(g))
     if sum(len(cfg.squares) for cfg in trace) < g.n:
         raise CounterexampleFound(
             "a non-empty graph with mad below 8/3 contains no reducible configuration",
             emit_graph(g),
         )
-    colors: dict[int, int] = {}
-    pushes: dict[int, int] = {}
+    return ColoringCertificate(g, target, _extend(g.n, trace, tables), trace)
+
+
+def _extend(n: int, trace, tables) -> PushHomWitness:
+    """Push and colour the squares of each configuration, the last deleted
+    first, by the table of its kind; a lone vertex keeps colour 0, unpushed.
+
+    A key is the anchor colours, then each _SHAPES sense XOR the pushes of
+    its anchor ends; the squares' pushes are the table's answer, so they
+    count as 0 there."""
+    colors, pushes = [0] * n, [0] * n
+    kinds = list(ConfigKind)
+    plans = [(_SHAPES[kind], tables.by_kind[kind]) for kind in kinds]
     for cfg in reversed(trace):
-        _extend(cfg, colors, pushes, tables)
-    mapping = tuple(colors[v] for v in range(g.n))
-    vector = frozenset(v for v in range(g.n) if pushes[v])
-    witness = PushHomWitness(vector, mapping)
-    return ColoringCertificate(g, target, witness, tuple(trace))
-
-
-def _extend(cfg, colors, pushes, tables) -> None:
-    if not cfg.anchors:  # a lone vertex
-        (v,) = cfg.squares
-        colors[v], pushes[v] = 0, 0
-        return
-    # key: anchor colours, then each sense XOR the pushes of its anchor ends;
-    # the squares' pushes are the table's answer, so they count as 0 here
-    anchor_pushes = [pushes[u] for u in cfg.anchors] + [0] * len(cfg.squares)
-    key = [colors[u] for u in cfg.anchors] + [
-        s ^ anchor_pushes[a] ^ anchor_pushes[b] for s, (a, b) in zip(cfg.senses, _SHAPES[cfg.kind])
-    ]
-    hit = tables.by_kind[cfg.kind][tuple(key)]
-    for i, v in enumerate(cfg.squares):
-        pushes[v], colors[v] = hit[i], hit[len(cfg.squares) + i]
+        squares, anchors = cfg.squares, cfg.anchors
+        if not anchors:  # a lone vertex
+            continue
+        shape, table = plans[kinds.index(cfg.kind)]
+        ends = [pushes[u] for u in anchors] + [0] * len(squares)
+        hit = table[(
+            *[colors[u] for u in anchors],
+            *[s ^ ends[a] ^ ends[b] for s, (a, b) in zip(cfg.senses, shape)],
+        )]
+        for i, v in enumerate(squares):
+            pushes[v], colors[v] = hit[i], hit[len(squares) + i]
+    return PushHomWitness(frozenset(compress(range(n), pushes)), tuple(colors))
 
 
 def color_outerplanar_g5(

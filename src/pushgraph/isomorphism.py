@@ -20,7 +20,7 @@ from heapq import heappop, heappush
 from itertools import chain, product
 from typing import Iterable, Sequence
 
-from .graph import GraphError, OrientedGraph
+from .graph import Arc, GraphError, OrientedGraph
 
 CANONICAL_SIZE_LIMIT = 16
 
@@ -34,10 +34,16 @@ class IsoCertificate:
 
 def is_homomorphism(g: OrientedGraph, h: OrientedGraph, mapping: tuple[int, ...]) -> bool:
     """True iff mapping sends every arc of g onto an arc of h."""
-    if len(mapping) != g.n or any(not (0 <= w < h.n) for w in mapping):
+    return _maps_arcs(g.n, g.arcs, h, mapping)
+
+
+def _maps_arcs(n: int, arcs: Iterable[Arc], h: OrientedGraph, mapping: tuple[int, ...]) -> bool:
+    """True iff mapping gives each of n vertices an image in h and sends
+    each of these arcs onto an arc of h."""
+    if len(mapping) != n or any(not (0 <= w < h.n) for w in mapping):
         return False
-    arcs = set(h.arcs)
-    return all((mapping[u], mapping[v]) in arcs for u, v in g.arcs)
+    targets = set(h.arcs)
+    return all((mapping[u], mapping[v]) in targets for u, v in arcs)
 
 
 def is_isomorphism(g: OrientedGraph, h: OrientedGraph, mapping: tuple[int, ...]) -> bool:

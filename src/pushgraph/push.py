@@ -10,6 +10,8 @@ per vertex.  This module alone maps anti-twin structure back to the base
 graph: repair_isomorphism and fold_to_push_witness (which push-homomorphism
 search uses) read a push vector and a mapping off a map into an anti-twinned
 graph, and split_graph rebuilds a graph from an anti-twin split.
+_maps_pushed_arcs checks a push witness on the source's own arcs, with no
+pushed graph built, for the fold, push_equivalent and the colourers.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graph import Arc, FormatError, GraphError, OrientedGraph, _bits, emit_graph
-from .isomorphism import (
-    IsoCertificate,
-    _code,
-    _find_isomorphism,
-    is_homomorphism,
-    is_isomorphism,
-)
+from .isomorphism import IsoCertificate, _code, _find_isomorphism, _maps_arcs, is_isomorphism
 
 
 @dataclass(frozen=True)
@@ -89,6 +85,21 @@ def push(g: OrientedGraph, vertices: Iterable[int]) -> OrientedGraph:
     return OrientedGraph(g.n, arcs)
 
 
+def _maps_pushed_arcs(
+    g: OrientedGraph, h: OrientedGraph, vector: Iterable[int], mapping: tuple[int, ...]
+) -> bool:
+    """True iff mapping is a homomorphism of push(g, vector) into h, read off
+    g's arcs with no graph built: each arc, reversed where exactly one end is
+    in vector, must map onto an arc of h.  A vertex of vector outside g
+    raises GraphError, as in push."""
+    pushed = [False] * g.n
+    for v in vector:
+        g._check_vertex(v)
+        pushed[v] = True
+    arcs = ((v, u) if pushed[u] != pushed[v] else (u, v) for u, v in g.arcs)
+    return _maps_arcs(g.n, arcs, h, mapping)
+
+
 def _presentations(g: OrientedGraph) -> Iterator[tuple[frozenset[int], tuple[Arc, ...]]]:
     """(vector, the arcs of push(g, vector)) for every push vector avoiding
     g's last vertex, in binary-count order from the empty one: a set and its
@@ -115,12 +126,13 @@ def fold_to_push_witness(
     """Turn a homomorphism g -> anti_twinned(h) into a verified push witness.
 
     Push the preimages of the primed half, then fold every primed image onto
-    its base vertex.  The folded witness passes its check exactly when
+    its base vertex.  The folded witness is checked arc by arc on g, pushed
+    where the image is primed, with no graph built; it passes exactly when
     mapping is a homomorphism into anti_twinned(h), so no caller checks both.
     """
     vector = frozenset(v for v in range(g.n) if mapping[v] >= h.n)
     folded = tuple(w - h.n if w >= h.n else w for w in mapping)
-    if not is_homomorphism(push(g, vector), h, folded):
+    if not _maps_pushed_arcs(g, h, vector, folded):
         raise AssertionError("push witness failed re-verification")
     return PushHomWitness(vector, folded)
 
@@ -188,7 +200,9 @@ def push_equivalent(g: OrientedGraph, h: OrientedGraph) -> PushHomWitness | None
     if found is None:
         return None
     witness = PushHomWitness(frozenset(v for v, bit in enumerate(found[1]) if bit), found[0])
-    if not is_isomorphism(push(g, witness.push_vector), h, witness.mapping):
+    # a bijective homomorphism between graphs of equal size is an isomorphism
+    bijective = len(g.arcs) == len(h.arcs) and sorted(witness.mapping) == list(range(h.n))
+    if not (bijective and _maps_pushed_arcs(g, h, witness.push_vector, witness.mapping)):
         raise AssertionError("push-equivalence witness failed re-verification")
     return witness
 
@@ -248,23 +262,17 @@ def _validate_split(g: OrientedGraph, cert: SplitCertificate) -> None:
 def split_graph(g: OrientedGraph, cert: SplitCertificate) -> OrientedGraph:
     """Induced subgraph on the first half; anti-twinning it reproduces g.
 
-    The reproduction is checked arc-for-arc through the explicit bijection
-    (part_one in order, then the partner of each), not by isomorphism search.
+    The half is renumbered in sorted order; u in part_one becomes its place
+    there, and u's partner that place's anti-twin.  Once _validate_split has
+    checked that the pairs partition g and that each pair (u, w) swaps its
+    neighbourhoods, N+(u) = N-(w) and N-(u) = N+(w), that map sends g's arcs
+    onto exactly those of anti_twinned(half), so no rebuild is compared: for
+    pairs (u1, w1) and (u2, w2), w1 -> w2 iff w2 -> u1 iff u1 -> u2, and
+    u2 -> w1 iff w1 -> w2; and no arc joins a pair, as u -> w would need
+    w -> w.
     """
     _validate_split(g, cert)
-    # u in part_one becomes vertex position[u] of the half; its partner
-    # becomes position[u] + k
-    half, position = g.induced(cert.part_one)
-    k = len(cert.part_one)
-    image = [0] * g.n
-    for u, w in zip(cert.part_one, cert.part_two):
-        image[u] = position[u]
-        image[w] = position[u] + k
-    rebuilt = anti_twinned(half)
-    mapped = {(image[u], image[v]) for u, v in g.arcs}
-    if mapped != set(rebuilt.arcs) or len(mapped) != len(g.arcs):
-        raise GraphError("split certificate does not reconstruct the graph")
-    return half
+    return g.induced(cert.part_one)[0]
 
 
 def agree_disagree(g: OrientedGraph, x: int, y: int) -> AgreeDisagreeStats:

@@ -21,7 +21,7 @@ from itertools import combinations, permutations, product
 
 from . import coloring, families, hom
 from .density import max_average_degree
-from .graph import OrientedGraph, emit_graph, underlying_girth
+from .graph import GraphError, OrientedGraph, emit_graph, underlying_girth
 from .isomorphism import _augment, canonical_code, is_homomorphism, is_isomorphic
 from .push import (
     agree_disagree,
@@ -396,11 +396,16 @@ def suite_zielonka() -> VerdictReport:
             ok = cert is not None
             detail = "generic split search found a certificate"
             if ok:
-                split = split_graph(full, cert)
-                iso = is_isomorphic(anti_twinned(split), full)
-                ok = iso is not None and split.n == full.n // 2
-                detail += "; anti-twinning the split graph reproduces the original (isomorphism search)"
-            verdict(ok, detail)
+                try:
+                    split = split_graph(full, cert)
+                except GraphError as exc:
+                    ok = False
+                    detail += f"; split_graph refused it: {exc}"
+                else:
+                    iso = is_isomorphic(anti_twinned(split), full)
+                    ok = iso is not None and split.n == full.n // 2
+                    detail += "; anti-twinning the split graph reproduces the original (isomorphism search)"
+            verdict(ok, detail, counterexample={"graph": emit_graph(full)})
         with suite.check(f"zielonka/half-rebuild-k{k}") as verdict:
             half = families.zielonka_half(k)
             iso = is_isomorphic(anti_twinned(half), full)

@@ -219,6 +219,58 @@ def emit_push_vector(vertices) -> str:
     return "\n".join([f"push {len(ordered)}"] + [f"v {v}" for v in ordered]) + "\n"
 
 
+def reduction_by_scan(g: OrientedGraph, left) -> tuple | None:
+    """The reducible configuration of g's subgraph on the vertex set left
+    that the colourer deletes next, found by a scan from degrees alone:
+    (kind position, squares, anchors, senses), or None if there is none.
+
+    Kinds in order: (i) degree at most 1; (ii) degree 2 beside a degree-2
+    vertex; (iii) degree 3 beside two degree-2 vertices.  The first kind
+    with a centre, at its smallest vertex, wins; a centre's degree-2
+    partners are its smallest ones.  Squares and anchors, with each sense 1
+    when the arc goes the way written, are:
+    (i) squares (v,), anchors its neighbour if any, arc anchor -> v;
+    (ii) squares (v, s), anchors (v's other neighbour a, s's other
+    neighbour b), arcs a -> v -> s -> b;
+    (iii) squares (s1, s2, v), anchors (s1's other neighbour a1, s2's a2,
+    v's third neighbour a3), arcs a1 -> s1 -> v, a2 -> s2 -> v, a3 -> v.
+    """
+    arcs = set(g.arcs)
+    nbrs = {v: set() for v in left}
+    for u, v in g.arcs:
+        if u in nbrs and v in nbrs:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+
+    def other(x, y):  # the neighbour of a degree-2 vertex x besides y
+        (z,) = nbrs[x] - {y}
+        return z
+
+    for kind in range(3):
+        for v in sorted(nbrs):
+            twos = sorted(w for w in nbrs[v] if len(nbrs[w]) == 2)
+            if kind == 0 and len(nbrs[v]) <= 1:
+                anchors = tuple(nbrs[v])
+                paths = [(*anchors, v)]
+                squares = (v,)
+            elif kind == 1 and len(nbrs[v]) == 2 and twos:
+                s = twos[0]
+                anchors = (other(v, s), other(s, v))
+                paths = [(anchors[0], v, s, anchors[1])]
+                squares = (v, s)
+            elif kind == 2 and len(nbrs[v]) == 3 and len(twos) >= 2:
+                s1, s2 = twos[:2]
+                (a3,) = nbrs[v] - {s1, s2}
+                anchors = (other(s1, v), other(s2, v), a3)
+                paths = [(anchors[0], s1, v), (anchors[1], s2, v), (a3, v)]
+                squares = (s1, s2, v)
+            else:
+                continue
+            senses = tuple(int((x, y) in arcs) for path in paths for x, y in zip(path, path[1:]))
+            return kind, squares, anchors, senses
+    return None
+
+
 def hom_by_enumeration(g: OrientedGraph, h: OrientedGraph):
     if g.n == 0:
         return ()

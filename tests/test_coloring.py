@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pushgraph import (
     ConfigKind,
@@ -34,6 +36,8 @@ from pushgraph.families import (
     random_sparse,
 )
 from pushgraph.hom import enumerate_tournaments
+
+from oracles import reduction_by_scan
 
 
 def test_two_step_identities_on_apex_triangle():
@@ -144,7 +148,7 @@ def test_config_absent_on_dense_graphs():
         assert find_reducible_config(t) is None
 
 
-# a hub with 40 legs of three vertices: kind (i) leaves, then pairs, then the hub
+# a hub with 40 legs of three vertices: every deletion is a leaf of kind (i)
 SPIDER = OrientedGraph(
     1 + 3 * 40,
     tuple((0, 1 + 3 * i) for i in range(40))
@@ -152,21 +156,77 @@ SPIDER = OrientedGraph(
 )
 
 
-def test_reductions_match_a_fresh_scan_after_every_deletion():
-    # the incremental heap must pick what a scan of the remaining graph picks;
-    # induced() renumbers in sorted order, so "smallest id" is kept
-    graphs = [SPIDER, girth8_witness()]
-    graphs += [random_sparse(n, seed) for n, seed in ((60, 1), (200, 2), (500, 3))]
-    graphs += [random_outerplanar(n, 5, seed) for n, seed in ((40, 4), (120, 5))]
-    for g in graphs:
-        left = list(range(g.n))
-        for cfg in _reductions(g):
-            fresh = find_reducible_config(g.induced(left)[0])
-            assert cfg.kind is fresh.kind and cfg.senses == fresh.senses
-            assert cfg.squares == tuple(left[v] for v in fresh.squares)
-            assert cfg.anchors == tuple(left[v] for v in fresh.anchors)
-            left = [v for v in left if v not in cfg.squares]
-        assert not left or find_reducible_config(g.induced(left)[0]) is None
+# cubic graphs, and the theta graph's three parallel edges, as edge lists
+_CUBIC = {
+    "K4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+    "K33": [(a, b) for a in range(3) for b in range(3, 6)],
+    "prism": [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)],
+    "theta": [(0, 1)] * 3,
+}
+
+
+@st.composite
+def reducible_graphs(draw) -> OrientedGraph:
+    """A cubic graph or a theta graph with each edge subdivided up to 1-3
+    times (parallel theta edges at least once but for one), a few pendant
+    paths, each edge oriented at random and the vertices relabelled.  Kind
+    (iii) is deleted only when no leaf and no adjacent degree-2 pair is left,
+    so it needs every thread to have at most one vertex once the pendant
+    paths are gone; longer threads give kind (ii), the paths kind (i)."""
+    base = _CUBIC[draw(st.sampled_from(sorted(_CUBIC)))]
+    longest = draw(st.integers(1, 3))
+    n = max(map(max, base)) + 1
+    edges = []
+    for i, (a, b) in enumerate(base):
+        size = draw(st.integers(1 if (a, b) in base[:i] else 0, longest))
+        path = [a, *range(n, n + size), b]
+        n += size
+        edges += zip(path, path[1:])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, n - 1))
+        size = draw(st.integers(1, 2))
+        path = [at, *range(n, n + size)]
+        n += size
+        edges += zip(path, path[1:])
+    perm = draw(st.permutations(range(n)))
+    return OrientedGraph(n, tuple(
+        (perm[a], perm[b]) if draw(st.booleans()) else (perm[b], perm[a]) for a, b in edges
+    ))
+
+
+def _trace_by_scan(g: OrientedGraph) -> list:
+    left, trace = set(range(g.n)), []
+    while (found := reduction_by_scan(g, left)) is not None:
+        trace.append(found)
+        left -= set(found[1])
+    return trace
+
+
+@example(SPIDER)
+@example(girth8_witness())
+@example(random_sparse(60, 1))
+@example(random_sparse(200, 2))
+@example(random_sparse(500, 3))
+@example(random_outerplanar(40, 5, 4))
+@example(random_outerplanar(120, 5, 5))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(reducible_graphs())
+def test_reductions_match_a_fresh_scan_after_every_deletion(g):
+    # the incremental heap and counts must pick what a scan of the remaining
+    # graph picks, down to the squares, anchors and senses
+    kinds = list(ConfigKind)
+    trace = [(kinds.index(c.kind), c.squares, c.anchors, c.senses) for c in _reductions(g)]
+    assert trace == _trace_by_scan(g)
+
+
+def test_the_scanned_shapes_reach_every_kind():
+    # the colour corpus deletes almost only kind (i); these shapes reach (iii)
+    once = OrientedGraph(10, tuple(
+        (a, 4 + i) for i, (a, _) in enumerate(_CUBIC["K4"])
+    ) + tuple((4 + i, b) for i, (_, b) in enumerate(_CUBIC["K4"])))
+    theta = OrientedGraph(5, ((0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)))
+    for g in (once, theta):
+        assert _trace_by_scan(g)[0][0] == 2
 
 
 def test_colourings_match_pinned_digest():

@@ -25,7 +25,7 @@ from pushgraph import (
     split_graph,
     transfer,
 )
-from pushgraph.push import fold_to_push_witness
+from pushgraph.push import _maps_pushed_arcs, fold_to_push_witness
 
 from oracles import anti_twinned_by_hand, iso_by_arcs, maps_arcs, push_by_hand, splits_by_hand
 
@@ -126,6 +126,28 @@ def _coloring_certificate(draw):
     )
 
 
+def _maps_pushed_arcs_case(draw):
+    # the pair (push vector, mapping) that every push witness is checked
+    # through; a push vertex may leave the range, which raises GraphError
+    g, h, vector, image = _push_hom(draw)
+    if draw(st.booleans()):
+        tampered = (vector ^ {draw(st.integers(-1, g.n))}, image)
+    else:
+        tampered = (vector, _tamper(draw, image, h.n))
+
+    def accepts(c) -> bool:
+        try:
+            return _maps_pushed_arcs(g, h, *c)
+        except GraphError:
+            return False
+
+    return (
+        accepts,
+        lambda c: all(0 <= v < g.n for v in c[0]) and maps_arcs(push_by_hand(g, c[0]), h, c[1]),
+        (vector, image), tampered,
+    )
+
+
 def _fold_to_push_witness(draw):
     # a homomorphism into anti_twinned(h): the pushed vertices take primed images
     g, h, vector, image = _push_hom(draw)
@@ -180,6 +202,7 @@ def _split_graph(draw):
 
 CASES = {
     "ColoringCertificate": _coloring_certificate,
+    "_maps_pushed_arcs": _maps_pushed_arcs_case,
     "fold_to_push_witness": _fold_to_push_witness,
     "is_homomorphism": _is_homomorphism,
     "is_isomorphism": _is_isomorphism,

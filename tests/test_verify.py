@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pushgraph.graph import GraphError
 from pushgraph.search import SearchBudget
 from pushgraph.verify import (
     SUITES,
@@ -12,6 +13,7 @@ from pushgraph.verify import (
     run_suite,
 )
 
+cli = importlib.import_module("pushgraph.cli")
 coloring = importlib.import_module("pushgraph.coloring")
 families = importlib.import_module("pushgraph.families")
 hom = importlib.import_module("pushgraph.hom")
@@ -118,6 +120,21 @@ def test_girth8_lower_suite_passes():
 def test_zielonka_suite_passes():
     report = run_suite("zielonka")
     assert report.all_pass
+
+
+def test_zielonka_records_a_refused_split_as_fail(monkeypatch, capsys):
+    def refuse(g, cert):
+        raise GraphError("pair (0, 1) does not swap neighborhoods")
+
+    monkeypatch.setattr(verify, "split_graph", refuse)
+    checks = run_suite("zielonka").to_json()["checks"]
+    failed = {c["id"]: c for c in checks if c["status"] == "fail"}
+    assert set(failed) == {f"zielonka/split-k{k}" for k in range(2, 5)}
+    for check in failed.values():
+        assert check["detail"].endswith("split_graph refused it: pair (0, 1) does not swap neighborhoods")
+        assert check["counterexample"]["graph"].startswith("oriented ")
+    assert cli.main(["verify", "zielonka"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_nine_tournament_search_empty_but_not_vacuous():
