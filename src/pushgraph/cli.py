@@ -200,20 +200,10 @@ def cmd_color(args) -> int:
             args,
         )
         return EXIT_OK
-    try:
-        if args.target == "sparse":
-            cert = coloring.push_color_to_paley(g)
-        else:
-            cert = coloring.color_outerplanar_g5(g, _budget(args))
-    except InconclusiveSearch as exc:
-        _emit_json({"status": "budget-exhausted", "detail": str(exc)}, args)
-        return EXIT_BUDGET
-    except coloring.CounterexampleFound as exc:
-        _emit_json(
-            {"status": "fail", "detail": exc.detail, "counterexample": exc.graph_text},
-            args,
-        )
-        return EXIT_FAIL
+    if args.target == "sparse":
+        cert = coloring.push_color_to_paley(g)
+    else:
+        cert = coloring.color_outerplanar_g5(g, _budget(args))
     payload = {
         "status": "found",
         "witness": cert.witness.to_json(cert.target),
@@ -231,18 +221,18 @@ def cmd_verify(args) -> int:
         "budget": _budget(args),
     }
     try:
-        report = verify.run_suite(args.suite, **options)
+        suite = verify.suite_call(args.suite, **options)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    report = suite()
     _emit_json(report.to_json(), args)
     for check in sorted(report.checks, key=lambda c: c.id):
         print(f"[{check.status:>16}] {check.id}: {check.detail}", file=sys.stderr)
-    if not report.all_pass:
-        return EXIT_BUDGET if report.inconclusive and all(
-            c.status != "fail" for c in report.checks
-        ) else EXIT_FAIL
-    return EXIT_OK
+    statuses = {check.status for check in report.checks}
+    if "fail" in statuses:
+        return EXIT_FAIL
+    return EXIT_BUDGET if "exhausted-budget" in statuses else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -316,6 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the exceptions a command raises map to exit codes
+    here and nowhere else."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -326,6 +318,12 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InconclusiveSearch as exc:
+        _emit_json({"status": "budget-exhausted", "detail": str(exc)}, args)
+        return EXIT_BUDGET
+    except coloring.CounterexampleFound as exc:
+        _emit_json({"status": "fail", "detail": exc.detail, "counterexample": exc.graph_text}, args)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

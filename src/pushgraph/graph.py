@@ -11,7 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -169,26 +169,39 @@ def underlying_girth(g: OrientedGraph) -> int | float:
     return best
 
 
-def parse_graph(text: str) -> OrientedGraph:
-    """Parse the line-oriented text format: `oriented <n>` then `a <u> <v>` lines."""
-    n: int | None = None
-    arcs: list[Arc] = []
-    seen: set[Arc] = set()
+def _content_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line_no, line, fields) of each line with content once a comment (from
+    '#') is cut off."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if fields[0] != "oriented" or len(fields) != 2:
-                raise FormatError("expected header 'oriented <n>'", line_no)
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise FormatError(f"bad vertex count {fields[1]!r}", line_no) from None
-            if n < 0:
-                raise FormatError(f"negative vertex count {n}", line_no)
-            continue
+        if line:
+            yield line_no, line, line.split()
+
+
+def _read_counted(text: str, header: str) -> tuple[int, Iterator[tuple[int, str, list[str]]]]:
+    """Read a line-oriented text format that opens with `header`, such as
+    'oriented <n>': the count the header gives, and the (line_no, line,
+    fields) of each later line with content."""
+    lines = _content_lines(text)
+    for line_no, _, fields in lines:
+        if fields[0] != header.split()[0] or len(fields) != 2:
+            raise FormatError(f"expected header '{header}'", line_no)
+        try:
+            count = int(fields[1])
+        except ValueError:
+            raise FormatError(f"bad vertex count {fields[1]!r}", line_no) from None
+        if count < 0:
+            raise FormatError(f"negative vertex count {count}", line_no)
+        return count, lines
+    raise FormatError(f"missing '{header}' header")
+
+
+def parse_graph(text: str) -> OrientedGraph:
+    """Parse the line-oriented text format: `oriented <n>` then `a <u> <v>` lines."""
+    n, lines = _read_counted(text, "oriented <n>")
+    arcs: list[Arc] = []
+    seen: set[Arc] = set()
+    for line_no, line, fields in lines:
         if fields[0] != "a" or len(fields) != 3:
             raise FormatError(f"expected arc line 'a <u> <v>', got {line!r}", line_no)
         try:
@@ -205,8 +218,6 @@ def parse_graph(text: str) -> OrientedGraph:
             raise FormatError(f"2-cycle between {u} and {v}", line_no)
         seen.add((u, v))
         arcs.append((u, v))
-    if n is None:
-        raise FormatError("missing 'oriented <n>' header")
     return OrientedGraph(n, tuple(arcs))
 
 

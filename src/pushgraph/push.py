@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graph import Arc, FormatError, GraphError, OrientedGraph, _bits, emit_graph
+from .graph import Arc, FormatError, GraphError, OrientedGraph, _bits, _read_counted, emit_graph
 from .isomorphism import IsoCertificate, _code, _find_isomorphism, _maps_arcs, is_isomorphism
 
 
@@ -315,23 +315,9 @@ def push_orbit(g: OrientedGraph) -> list[bytes]:
 
 def parse_push_vector(text: str) -> frozenset[int]:
     """Parse the push-vector format: `push <k>` then k lines `v <id>`, one per vertex."""
-    count: int | None = None
+    count, lines = _read_counted(text, "push <k>")
     vertices: set[int] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if count is None:
-            if fields[0] != "push" or len(fields) != 2:
-                raise FormatError("expected header 'push <k>'", line_no)
-            try:
-                count = int(fields[1])
-            except ValueError:
-                raise FormatError(f"bad vertex count {fields[1]!r}", line_no) from None
-            if count < 0:
-                raise FormatError(f"negative vertex count {count}", line_no)
-            continue
+    for line_no, line, fields in lines:
         if fields[0] != "v" or len(fields) != 2:
             raise FormatError(f"expected vertex line 'v <id>', got {line!r}", line_no)
         try:
@@ -341,8 +327,6 @@ def parse_push_vector(text: str) -> frozenset[int]:
         if v in vertices:
             raise FormatError(f"duplicate vertex {v}", line_no)
         vertices.add(v)
-    if count is None:
-        raise FormatError("missing 'push <k>' header")
     if count != len(vertices):
         raise FormatError(f"header announced {count} vertices, found {len(vertices)}")
     return frozenset(vertices)

@@ -2,10 +2,10 @@
 
 Every suite produces machine-readable check records.  A check ends in one of
 three outcomes: pass; fail, when it refutes a case, keeping the first
-replayable counterexample it was given (graphs in the text format); or
-exhausted-budget, when a search it needs a verdict from is truncated
-(search.require_complete).  The suites back both the CLI `verify` command and
-the acceptance test module.
+replayable counterexample it was given (graphs in the text format), or when
+a callee raises GraphError or CounterexampleFound; or exhausted-budget, when
+a search it needs a verdict from is truncated (search.require_complete).  The
+suites back both the CLI `verify` command and the acceptance test module.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
+from typing import Callable
 
 from . import coloring, families, hom
 from .density import max_average_degree
@@ -91,10 +92,6 @@ class VerdictReport:
     def all_pass(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    @property
-    def inconclusive(self) -> bool:
-        return any(c.status == "exhausted-budget" for c in self.checks)
-
     def to_json(self) -> dict:
         ordered = sorted(self.checks, key=lambda c: c.id)
         return {
@@ -113,7 +110,10 @@ class VerdictReport:
     def check(self, check_id: str):
         """Time the block and record the CheckRecord it yields.  A block that
         raises InconclusiveSearch is recorded as exhausted-budget, or as fail
-        if it had already refuted a case, and the checks after it still run."""
+        if it had already refuted a case.  One that raises GraphError or
+        CounterexampleFound is recorded as fail, keeping an earlier
+        counterexample, else the graph the exception carries.  The exception's
+        message becomes the detail, and the checks after it still run."""
         record = CheckRecord(check_id)
         started = time.perf_counter()
         try:
@@ -121,6 +121,13 @@ class VerdictReport:
         except InconclusiveSearch as exc:
             if record.status == "pass":
                 record.status = "exhausted-budget"
+            record.detail = str(exc)
+        except coloring.CounterexampleFound as exc:
+            graph = exc.graph_text
+            record.refute(None if graph is None else {"graph": graph, "detail": exc.detail})
+            record.detail = exc.detail
+        except GraphError as exc:
+            record.refute()
             record.detail = str(exc)
         record.wall_time = time.perf_counter() - started
         self.checks.append(record)
@@ -393,19 +400,14 @@ def suite_zielonka() -> VerdictReport:
         with suite.check(f"zielonka/split-k{k}") as verdict:
             full = families.zielonka(k)
             cert = is_splitable(full)
-            ok = cert is not None
-            detail = "generic split search found a certificate"
-            if ok:
-                try:
-                    split = split_graph(full, cert)
-                except GraphError as exc:
-                    ok = False
-                    detail += f"; split_graph refused it: {exc}"
-                else:
-                    iso = is_isomorphic(anti_twinned(split), full)
-                    ok = iso is not None and split.n == full.n // 2
-                    detail += "; anti-twinning the split graph reproduces the original (isomorphism search)"
-            verdict(ok, detail, counterexample={"graph": emit_graph(full)})
+            detail = "generic split search found no certificate"
+            if cert is not None:
+                split_graph(full, cert)  # raises GraphError on a pair it refuses
+                detail = (
+                    "generic split search found a certificate; each pair swaps its "
+                    "neighbourhoods, so anti-twinning the split graph rebuilds the original"
+                )
+            verdict(cert is not None, detail, counterexample={"graph": emit_graph(full)})
         with suite.check(f"zielonka/half-rebuild-k{k}") as verdict:
             half = families.zielonka_half(k)
             iso = is_isomorphic(anti_twinned(half), full)
@@ -636,18 +638,14 @@ def suite_girth8_upper(
     suite = VerdictReport("girth8-upper")
 
     with suite.check("girth8/extension-tables") as verdict:
-        try:
-            tables = coloring.build_extension_tables()
-        except coloring.CounterexampleFound as exc:
-            verdict(False, exc.detail)
-        else:
-            _, chain, branch = tables.by_kind.values()
-            verdict(
-                True,
-                f"chain table {len(chain)}/128 keys, branch table "
-                f"{len(branch)}/2048 keys (all 64 colorings solvable under every "
-                f"arc pattern), triangle path table complete; sha256 {tables.sha256[:16]}...",
-            )
+        tables = coloring.build_extension_tables()
+        _, chain, branch = tables.by_kind.values()
+        verdict(
+            True,
+            f"chain table {len(chain)}/128 keys, branch table "
+            f"{len(branch)}/2048 keys (all 64 colorings solvable under every "
+            f"arc pattern), triangle path table complete; sha256 {tables.sha256[:16]}...",
+        )
 
     with suite.check("girth8/sparse-instances") as verdict:
         # sizes spread from min(20, max_n) to max_n; the last one is max_n
@@ -784,8 +782,9 @@ SUITES = {
 _MIN_MAX_N = {"prop-transfer": 1, "outerplanar5": 5, "girth8-upper": 1}
 
 
-def run_suite(name: str, **options) -> VerdictReport:
-    """Run one named suite; unknown names and out-of-range sizes raise ValueError.
+def suite_call(name: str, **options) -> Callable[[], VerdictReport]:
+    """The named suite bound to its options, ready to run; an unknown name or
+    an out-of-range size raises ValueError before any check runs.
 
     Each suite declares its options and their defaults in its signature; it
     receives only the options it declares, and an option given as None keeps
@@ -799,4 +798,9 @@ def run_suite(name: str, **options) -> VerdictReport:
     for key, low in (("count", 0), ("max_n", _MIN_MAX_N.get(name, 0))):
         if chosen.get(key, low) < low:
             raise ValueError(f"--{key.replace('_', '-')} must be at least {low} for {name}")
-    return suite(**chosen)
+    return partial(suite, **chosen)
+
+
+def run_suite(name: str, **options) -> VerdictReport:
+    """Run one named suite (see suite_call for its options)."""
+    return suite_call(name, **options)()

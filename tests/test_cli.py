@@ -1,3 +1,5 @@
+import functools
+import importlib
 import json
 import random
 
@@ -9,6 +11,8 @@ from pushgraph.graph import emit_graph, parse_graph
 from pushgraph.families import directed_cycle, random_outerplanar, uc4
 
 from oracles import push_by_hand, time_limit
+
+verify = importlib.import_module("pushgraph.verify")
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +278,24 @@ def test_verify_budget_exhaustion_exits_3(capsys, suite_args):
     assert payload["summary"]["fail"] == 0
 
 
+def _spy(calls: list, name: str, suite):
+    @functools.wraps(suite)
+    def spy(**options):
+        calls.append(name)
+        return suite(**options)
+
+    return spy
+
+
+@pytest.fixture
+def suite_calls(monkeypatch) -> list:
+    """The names of the verify suites called while the test runs."""
+    calls: list = []
+    for name, suite in verify.SUITES.items():
+        monkeypatch.setitem(verify.SUITES, name, _spy(calls, name, suite))
+    return calls
+
+
 OUT_OF_RANGE_SIZES = [
     (["prop-transfer", "--count", "-3"], "--count must be at least 0"),
     (["girth8-upper", "--count", "-2"], "--count must be at least 0"),
@@ -288,17 +310,19 @@ OUT_OF_RANGE_SIZES = [
 @pytest.mark.parametrize(
     "suite_args, message", OUT_OF_RANGE_SIZES, ids=[" ".join(a) for a, _ in OUT_OF_RANGE_SIZES]
 )
-def test_verify_out_of_range_sizes_exit_2(capsys, suite_args, message):
+def test_verify_out_of_range_sizes_exit_2(capsys, suite_calls, suite_args, message):
     code, out, err = run_cli(capsys, "verify", *suite_args)
     assert code == 2
     assert out == ""
     assert message in err
+    assert suite_calls == []
 
 
-def test_verify_unknown_suite(capsys):
+def test_verify_unknown_suite(capsys, suite_calls):
     code, _, err = run_cli(capsys, "verify", "nonsense")
     assert code == 2
     assert "unknown suite" in err
+    assert suite_calls == []
 
 
 def test_format_error_exit_code(tmp_path, capsys):

@@ -356,6 +356,8 @@ def test_parse_errors_carry_context(text, fragment):
         (parse_graph, "oriented -1\n", "negative vertex count", 1),
         (parse_graph, "oriented 2\na 0 b\n", "non-integer endpoint", 2),
         (parse_graph, "oriented 3\na 0 0\nb 1\n", "loop", 2),
+        (parse_graph, "# comment only\n\n", "missing 'oriented <n>' header", None),
+        (parse_graph, "oriented 2 3\n", "expected header 'oriented <n>'", 1),
         (parse_push_vector, "# comment\npush\n", "expected header", 2),
         (parse_push_vector, "push y\n", "bad vertex count", 1),
         (parse_push_vector, "push 1\nw 3\n", "expected vertex line", 2),

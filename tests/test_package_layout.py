@@ -263,3 +263,39 @@ def test_each_answer_is_checked_where_it_is_returned():
     tree = ast.parse((PACKAGE / "graph.py").read_text())
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert "identify_vertices" not in defined
+
+
+def _functions(tree):
+    """(qualified name, node) of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_each_exception_maps_to_its_outcome_in_one_place():
+    # VerdictReport.check turns these exceptions into check outcomes and
+    # cli.main into exit codes; the two instance checks catch a
+    # counterexample themselves only to name the instance that failed
+    mapped = {"InconclusiveSearch", "GraphError", "FormatError", "CounterexampleFound"}
+    handlers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, func in _functions(ast.parse(path.read_text())):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    caught = {
+                        n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(node.type)
+                        if isinstance(n, (ast.Name, ast.Attribute))
+                    }
+                    if caught & mapped:
+                        handlers.append(f"{path.stem}.{name}")
+    assert sorted(handlers) == [
+        *["cli.main"] * 4,
+        *["verify.VerdictReport.check"] * 3,
+        "verify.suite_girth8_upper",
+        "verify.suite_outerplanar5",
+    ]

@@ -122,19 +122,74 @@ def test_zielonka_suite_passes():
     assert report.all_pass
 
 
-def test_zielonka_records_a_refused_split_as_fail(monkeypatch, capsys):
-    def refuse(g, cert):
+# suite, small options, the (module, name) of a callee made to raise
+# GraphError, and the checks that call it
+REFUSALS = {
+    "theorem-antitwin": (
+        {"max_n": 3}, (verify, "push_equivalent"), {"antitwin/certificates", "antitwin/cross-class"},
+    ),
+    "prop-transfer": ({"count": 20}, (hom, "transfer"), {"transfer/random"}),
+    "lemma-split": ({"max_n": 3}, (hom, "find_push_hom"), {"split/reduction-vs-brute"}),
+    "outerplanar5": (
+        {"count": 2, "max_n": 12},
+        (coloring, "path_extend_to_c3"),
+        {"outerplanar5/path-lemma-oracle", "outerplanar5/path-lemma-values"},
+    ),
+    "zielonka": ({}, (verify, "split_graph"), {f"zielonka/split-k{k}" for k in range(2, 5)}),
+    "gadgets-p3": ({}, (hom, "push_chromatic_number"), {"gadgets/forced-pair-overlap"}),
+    "girth8-lower": ({}, (hom, "find_push_hom"), {"girth8/no-triangle-coloring"}),
+    "girth8-upper": (
+        {"count": 3, "max_n": 40},
+        (verify, "max_average_degree"),
+        {"girth8/discharge-contrapositive"},
+    ),
+    "sandwich": ({"max_n": 3}, (hom, "oriented_chromatic_number"), {"sandwich/exhaustive"}),
+    "tournament3": ({}, (verify, "push_equivalent"), {"tournament3/single-class"}),
+}
+
+
+def _records(report) -> dict:
+    records = {}
+    for check in report.to_json()["checks"]:
+        check.pop("wallTime")
+        records[check["id"]] = check
+    return records
+
+
+@pytest.mark.parametrize("suite", REFUSALS)
+def test_a_graph_error_fails_the_checks_that_raise_it(monkeypatch, capsys, suite):
+    options, (module, name), broken = REFUSALS[suite]
+    assert set(REFUSALS) == set(SUITES)
+    clean = _records(run_suite(suite, **options))
+
+    def refuse(*args, **kwargs):
         raise GraphError("pair (0, 1) does not swap neighborhoods")
 
-    monkeypatch.setattr(verify, "split_graph", refuse)
-    checks = run_suite("zielonka").to_json()["checks"]
-    failed = {c["id"]: c for c in checks if c["status"] == "fail"}
-    assert set(failed) == {f"zielonka/split-k{k}" for k in range(2, 5)}
-    for check in failed.values():
-        assert check["detail"].endswith("split_graph refused it: pair (0, 1) does not swap neighborhoods")
-        assert check["counterexample"]["graph"].startswith("oriented ")
-    assert cli.main(["verify", "zielonka"]) == 1
+    monkeypatch.setattr(module, name, refuse)
+    records = _records(run_suite(suite, **options))
+    assert records.keys() == clean.keys()
+    assert {i for i in records if records[i] != clean[i]} == broken
+    for check_id in broken:
+        assert records[check_id]["status"] == "fail"
+        assert records[check_id]["detail"] == "pair (0, 1) does not swap neighborhoods"
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+    assert cli.main(["verify", suite, *flags]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph_text", [None, "oriented 1\n"])
+def test_a_counterexample_found_fails_its_check_with_its_detail(monkeypatch, graph_text):
+    def contradict():
+        raise coloring.CounterexampleFound("no extension for chain: key (0, 0)", graph_text)
+
+    monkeypatch.setattr(coloring, "build_extension_tables", contradict)
+    check = _records(run_suite("girth8-upper", count=0, max_n=20))["girth8/extension-tables"]
+    assert check["status"] == "fail"
+    assert check["detail"] == "no extension for chain: key (0, 0)"
+    if graph_text is None:
+        assert "counterexample" not in check
+    else:
+        assert check["counterexample"] == {"graph": graph_text, "detail": check["detail"]}
 
 
 def test_nine_tournament_search_empty_but_not_vacuous():
