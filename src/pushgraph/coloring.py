@@ -413,15 +413,17 @@ def color_outerplanar_g5(
     """Push-color an outerplanar girth-5 graph into the directed triangle.
 
     Delegates to the push-homomorphism solver against the 6-vertex reduction
-    target.  A proven absence would contradict 3-colorability of this family
-    and is raised at highest severity with the counterexample embedded.
+    target.  Every graph of the family push-maps to the triangle, so a
+    proven absence shows that g is outside it and raises GraphError, as
+    push_color_to_paley refuses mad >= 8/3; membership is not checked, so
+    only a caller that built g in the family can read that as a refutation.
     """
     result = find_push_hom(g, c3(), budget)
     if result.witness is not None:
         return ColoringCertificate(g, c3(), result.witness)
     if result.complete:
-        raise CounterexampleFound(
-            "an outerplanar girth-5 instance admits no push 3-coloring",
-            emit_graph(g),
+        raise GraphError(
+            "color_outerplanar_g5 proved there is no push homomorphism into the "
+            "directed triangle, so the input is not outerplanar with girth at least 5"
         )
     raise InconclusiveSearch("budget exhausted before the coloring search finished")

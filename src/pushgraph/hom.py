@@ -385,13 +385,13 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushin
 
     Each k gets one quotient search.  Its "no" proves that no tournament of
     order k admits g, so none is tried.  After a "yes" the tournaments of
-    order k are walked in enumerate_tournaments order, with find_hom for
-    the oriented number, until the first hit, whose checked mapping is the
-    one certificate of the order and gives the target and the witness; a
-    walk with no hit after a "yes" raises AssertionError, so a wrong "yes"
-    cannot pass.  A push walk runs the solver on each tournament's
-    anti-twinned graph, built once per order for every call, and folds and
-    checks the hit as find_push_hom does.
+    order k are walked in enumerate_tournaments order, the solver running
+    on each one, or on its anti-twinned graph (built once per order for
+    every call) for the push number, until the first hit.  The fold checks
+    every hit, as in find_push_hom (an oriented hit uses no primed vertex,
+    so the fold only checks it), and the hit is the one certificate of the
+    order; a walk with no hit after a "yes" raises AssertionError, so a
+    wrong "yes" cannot pass.
 
     The quotient search may spend 16 (n + 1) nodes per tournament of order
     k, so it never costs much more than the walk it replaces; past that the
@@ -416,13 +416,11 @@ def _chromatic(g: OrientedGraph, max_k: int, budget: SearchBudget | None, pushin
             continue
         hosts = _anti_twinned_tournaments(k) if pushing else targets
         for target, host in zip(targets, hosts):
-            if pushing:
-                mapping = _solve(g, host, tracker)
-            else:
-                mapping = find_hom(g, host, _tracker=tracker).mapping
+            mapping = _solve(g, host, tracker)
             if mapping is not None:
-                hit = fold_to_push_witness(g, target, mapping) if pushing else mapping
-                return ChromaticResult(k, target, hit, k, True, tracker.nodes, tracker.seconds)
+                hit = fold_to_push_witness(g, target, mapping)
+                witness = hit if pushing else hit.mapping
+                return ChromaticResult(k, target, witness, k, True, tracker.nodes, tracker.seconds)
             if tracker.exhausted:
                 return ChromaticResult(None, None, None, k, False, tracker.nodes, tracker.seconds)
         if colourable is True:

@@ -10,8 +10,9 @@ per vertex.  This module alone maps anti-twin structure back to the base
 graph: repair_isomorphism and fold_to_push_witness (which push-homomorphism
 search uses) read a push vector and a mapping off a map into an anti-twinned
 graph, and split_graph rebuilds a graph from an anti-twin split.
-_maps_pushed_arcs checks a push witness on the source's own arcs, with no
-pushed graph built, for the fold, push_equivalent and the colourers.
+_pushed_arcs states the reversal once, for push and for _maps_pushed_arcs,
+which checks a push witness on the source's own arcs, with no pushed graph
+built, for the fold, push_equivalent and the colourers.
 """
 
 from __future__ import annotations
@@ -74,30 +75,27 @@ class PushHomWitness:
         }
 
 
+def _pushed_arcs(g: OrientedGraph, vertices: Iterable[int]) -> Iterator[Arc]:
+    """The arcs of g, in order, each reversed where exactly one end is in
+    vertices; a vertex outside g raises GraphError before any arc is read."""
+    pushed = [False] * g.n
+    for v in vertices:
+        g._check_vertex(v)
+        pushed[v] = True
+    return ((v, u) if pushed[u] != pushed[v] else (u, v) for u, v in g.arcs)
+
+
 def push(g: OrientedGraph, vertices: Iterable[int]) -> OrientedGraph:
     """Reverse every arc with exactly one endpoint in the pushed set."""
-    pushed = set(vertices)
-    for v in pushed:
-        g._check_vertex(v)
-    arcs = tuple(
-        (v, u) if (u in pushed) != (v in pushed) else (u, v) for u, v in g.arcs
-    )
-    return OrientedGraph(g.n, arcs)
+    return OrientedGraph(g.n, tuple(_pushed_arcs(g, vertices)))
 
 
 def _maps_pushed_arcs(
     g: OrientedGraph, h: OrientedGraph, vector: Iterable[int], mapping: tuple[int, ...]
 ) -> bool:
     """True iff mapping is a homomorphism of push(g, vector) into h, read off
-    g's arcs with no graph built: each arc, reversed where exactly one end is
-    in vector, must map onto an arc of h.  A vertex of vector outside g
-    raises GraphError, as in push."""
-    pushed = [False] * g.n
-    for v in vector:
-        g._check_vertex(v)
-        pushed[v] = True
-    arcs = ((v, u) if pushed[u] != pushed[v] else (u, v) for u, v in g.arcs)
-    return _maps_arcs(g.n, arcs, h, mapping)
+    g's pushed arcs with no graph built."""
+    return _maps_arcs(g.n, _pushed_arcs(g, vector), h, mapping)
 
 
 def _presentations(g: OrientedGraph) -> Iterator[tuple[frozenset[int], tuple[Arc, ...]]]:

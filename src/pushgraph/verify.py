@@ -161,6 +161,8 @@ def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
     maps one graph onto the other, over all oriented graphs up to max_n."""
     suite = VerdictReport("theorem-antitwin")
     graphs = _all_classes(max_n)
+    classes = None  # lists of indices into graphs, once partitions has finished
+    unfinished = "antitwin/partitions did not finish, so there are no push classes to check"
 
     with suite.check("antitwin/partitions") as verdict:
         # pushing is a group action, so a graph whose code lies in a computed
@@ -189,9 +191,10 @@ def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
             f"{len(partition_orbit)}, anti-twin-code classes = {len(partition_anti)}",
             counterexample=counterexample,
         )
+        classes = list(by_orbit.values())
 
     with suite.check("antitwin/certificates") as verdict:
-        for members in by_orbit.values():
+        for members in classes or ():
             rep = graphs[members[0]]
             for idx in members:
                 if push_equivalent(rep, graphs[idx]) is None:
@@ -201,9 +204,11 @@ def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
             "same-class pairs refused",
             f"{len(graphs)} same-class pairs produced verified push/mapping certificates",
         )
+        if classes is None:
+            verdict(False, unfinished)
 
     with suite.check("antitwin/cross-class") as verdict:
-        pairs = list(combinations([graphs[m[0]] for m in by_orbit.values()], 2))
+        pairs = list(combinations([graphs[m[0]] for m in classes or ()], 2))
         for a, b in pairs:
             if push_equivalent(a, b) is not None:
                 verdict.refute({"graphs": [emit_graph(a), emit_graph(b)]})
@@ -212,6 +217,8 @@ def suite_theorem_antitwin(max_n: int = 5) -> VerdictReport:
             "cross-class representative pairs declared push-equivalent",
             f"{len(pairs)} cross-class representative pairs correctly refused",
         )
+        if classes is None:
+            verdict(False, unfinished)
     return suite
 
 
@@ -363,8 +370,11 @@ def suite_outerplanar5(
                 f"{count} random outerplanar girth-5 instances (n <= {max_n}) received "
                 "verified triangle colorings"
             )
-        except coloring.CounterexampleFound as exc:
-            verdict.refute({"graph": exc.graph_text, "detail": exc.detail})
+        except (coloring.CounterexampleFound, GraphError) as exc:
+            # the instance is in the family by construction, so a refusal of
+            # it refutes the theorem, with the instance as the counterexample
+            graph = getattr(exc, "graph_text", None) or emit_graph(g)
+            verdict.refute({"graph": graph, "detail": str(exc)})
             detail = (
                 f"random outerplanar girth-5 instance {i} (n = {n}) received no triangle "
                 f"coloring; {i} of {count} were colored before it"

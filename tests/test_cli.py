@@ -8,7 +8,7 @@ import pytest
 from pushgraph import OrientedGraph, push
 from pushgraph.cli import main
 from pushgraph.graph import emit_graph, parse_graph
-from pushgraph.families import directed_cycle, random_outerplanar, uc4
+from pushgraph.families import directed_cycle, girth8_witness, random_outerplanar, uc4
 
 from oracles import push_by_hand, time_limit
 
@@ -231,6 +231,14 @@ def test_color_outerplanar_budget_exhaustion_exits_3(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["status"] == "budget-exhausted"
     assert "witness" not in payload
+
+
+def test_color_outerplanar_refusal_exits_2(tmp_path, capsys):
+    path = tmp_path / "witness.graph"
+    path.write_text(emit_graph(girth8_witness()))
+    code, out, err = run_cli(capsys, "color", "outerplanar5", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "not outerplanar with girth at least 5" in err
 
 
 def test_color_outerplanar5_beyond_the_recursion_limit(tmp_path, capsys):

@@ -365,6 +365,14 @@ def test_color_outerplanar_budget_exhaustion_raises():
         color_outerplanar_g5(random_outerplanar(30, 5, seed=4), SearchBudget(max_nodes=1))
 
 
+def test_color_outerplanar_refuses_a_graph_outside_its_family():
+    # the girth-8 witness has no push 3-colouring, which shows it is not an
+    # outerplanar graph of girth at least 5: a refusal, not a counterexample
+    with pytest.raises(GraphError, match="not outerplanar with girth at least 5") as info:
+        color_outerplanar_g5(girth8_witness())
+    assert not isinstance(info.value, CounterexampleFound)
+
+
 def test_color_outerplanar_triangle_itself():
     cert = color_outerplanar_g5(c3())
     assert len(set(cert.witness.mapping)) == 3

@@ -292,8 +292,8 @@ def test_a_quotient_yes_without_a_walk_hit_raises(monkeypatch):
 
 
 def test_a_push_answer_is_checked_once_by_the_fold(monkeypatch):
-    # a solver that sends every vertex to vertex 0: each push search fails
-    # at fold_to_push_witness, its one check, and the oriented walk at find_hom
+    # a solver that sends every vertex to vertex 0: each push search, and
+    # the oriented walk too, fails at fold_to_push_witness, its one check
     monkeypatch.setattr(hom, "_solve", lambda g, h, tracker: (0,) * g.n)
     for search in (
         lambda: find_push_hom(directed_cycle(5), c3()),
@@ -302,7 +302,7 @@ def test_a_push_answer_is_checked_once_by_the_fold(monkeypatch):
     ):
         with pytest.raises(AssertionError, match="push witness failed re-verification"):
             search()
-    with pytest.raises(AssertionError, match="solver produced a non-homomorphism"):
+    with pytest.raises(AssertionError, match="push witness failed re-verification"):
         oriented_chromatic_number(c3())
 
 

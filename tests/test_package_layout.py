@@ -265,6 +265,28 @@ def test_each_answer_is_checked_where_it_is_returned():
     assert "identify_vertices" not in defined
 
 
+def test_one_rule_each_for_pushing_certifying_a_walk_hit_and_refusing():
+    # the reversal of pushed arcs is written once, in _pushed_arcs
+    for name in ("push", "_maps_pushed_arcs"):
+        func = _function("push", name)
+        assert "_pushed_arcs" in _called_names(func), f"push.{name}"
+        reversals = [
+            n for n in ast.walk(func)
+            if isinstance(n, (ast.IfExp, ast.GeneratorExp, ast.ListComp, ast.SetComp))
+        ]
+        assert not reversals, f"push.{name} reverses arcs itself"
+    # the fold certifies every tournament-walk hit, oriented or push
+    called = _called_names(_function("hom", "_chromatic"))
+    assert "fold_to_push_witness" in called and "find_hom" not in called
+    # a graph the outerplanar colourer cannot colour is outside its family
+    raised = {
+        n.exc.func.id
+        for n in ast.walk(_function("coloring", "color_outerplanar_g5"))
+        if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+    }
+    assert raised == {"GraphError", "InconclusiveSearch"}
+
+
 def _functions(tree):
     """(qualified name, node) of each module-level function and method."""
     for node in tree.body:

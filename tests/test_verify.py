@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pushgraph.graph import GraphError
+from pushgraph.graph import GraphError, emit_graph
 from pushgraph.search import SearchBudget
 from pushgraph.verify import (
     SUITES,
@@ -190,6 +190,50 @@ def test_a_counterexample_found_fails_its_check_with_its_detail(monkeypatch, gra
         assert "counterexample" not in check
     else:
         assert check["counterexample"] == {"graph": graph_text, "detail": check["detail"]}
+
+
+def test_an_outerplanar_refusal_refutes_its_instance(monkeypatch):
+    # the instances are outerplanar with girth 5 by construction, so the
+    # colourer's refusal of one refutes the theorem on that instance
+    refused = []
+
+    def refuse(g, budget=None):
+        refused.append(g)
+        raise GraphError("not outerplanar with girth at least 5")
+
+    monkeypatch.setattr(coloring, "color_outerplanar_g5", refuse)
+    check = _records(run_suite("outerplanar5", count=3, max_n=12))["outerplanar5/instances"]
+    (first,) = refused
+    assert check["status"] == "fail"
+    assert check["detail"] == (
+        f"random outerplanar girth-5 instance 0 (n = {first.n}) received no triangle "
+        "coloring; 0 of 3 were colored before it"
+    )
+    assert check["counterexample"] == {
+        "graph": emit_graph(first), "detail": "not outerplanar with girth at least 5",
+    }
+
+
+def test_antitwin_checks_fail_when_partitions_stops_early(monkeypatch, capsys):
+    # certificates and cross-class read the push classes partitions builds,
+    # so when it stops early they have nothing to check, and must not pass
+    orbit, calls = verify.push_orbit, []
+
+    def stops_after_three(g):
+        calls.append(g)
+        if len(calls) > 3:
+            raise GraphError("injected fault")
+        return orbit(g)
+
+    monkeypatch.setattr(verify, "push_orbit", stops_after_three)
+    records = _records(run_suite("theorem-antitwin", max_n=3))
+    assert records["antitwin/partitions"]["status"] == "fail"
+    assert records["antitwin/partitions"]["detail"] == "injected fault"
+    for check_id in ("antitwin/certificates", "antitwin/cross-class"):
+        assert records[check_id]["status"] == "fail"
+        assert "antitwin/partitions did not finish" in records[check_id]["detail"]
+    assert cli.main(["verify", "theorem-antitwin", "--max-n=3"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_nine_tournament_search_empty_but_not_vacuous():
